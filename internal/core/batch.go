@@ -251,10 +251,11 @@ func (bw *batchWorker) process(bc *batchCandidate) ([]*batchCandidate, error) {
 			return nil, err
 		}
 	}
-	// Materialize the fan-out once; Entry values are pure copies whose
-	// Env/Clusters reference the shared cached decodes, so one slice
-	// serves every pending query's expansion.
-	children := v.AppendEntries(bw.w.scratch.entries[:0])
+	// Materialize the fan-out once per slot into the ents arena: every
+	// pending query's buildChildren points its sibling contributors at
+	// this one stable, read-only copy (whose Env/Clusters reference the
+	// shared cached decodes), so no query copies an Entry of its own.
+	children := v.AppendEntries(bw.w.scratch.ents.alloc(v.Len()))
 	slots := make([]*batchCandidate, len(children))
 	for _, p := range pending {
 		bw.begin(p.qi)
@@ -269,7 +270,6 @@ func (bw *batchWorker) process(bc *batchCandidate) ([]*batchCandidate, error) {
 			slot.active = append(slot.active, activeQuery{qi: p.qi, groups: qc.c.groups})
 		}
 	}
-	bw.w.scratch.entries = children[:0]
 	// Children enter the next round in entry order, active sets in
 	// ascending query order (pending preserves it) — deterministic
 	// regardless of which worker expanded the slot.
@@ -385,7 +385,7 @@ func seedBatch(bw *batchWorker, items []BatchItem) ([]*batchCandidate, error) {
 			return nil, err
 		}
 	}
-	rootEntries := rootView.AppendEntries(bw.w.scratch.entries[:0])
+	rootEntries := rootView.AppendEntries(bw.w.scratch.ents.alloc(rootView.Len()))
 	// The pseudo parent groups carry empty contribution lists and are
 	// never mutated by buildChildren, so one seed slice serves every
 	// query.
@@ -411,7 +411,6 @@ func seedBatch(bw *batchWorker, items []BatchItem) ([]*batchCandidate, error) {
 			slot.active = append(slot.active, activeQuery{qi: qi, groups: qc.c.groups})
 		}
 	}
-	bw.w.scratch.entries = rootEntries[:0]
 	out := make([]*batchCandidate, 0, len(slots))
 	for _, slot := range slots {
 		if slot != nil {

@@ -17,8 +17,15 @@ import (
 // so they are marked stale. The search re-tightens a contributor against
 // the candidate only when the refinement strategy actually selects it,
 // which keeps expansion cost linear in the fan-out instead of quadratic.
+//
+// Lists are copied wholesale — every child group inherits its parent's —
+// so the element is kept small: entry points at a stable Entry rather
+// than embedding it (40 bytes instead of 216). The pointee lives in the
+// ents arena of the scratch that materialized it (or, in tests, on the
+// heap) and is read-only; the pointer is valid until that scratch is
+// released, which happens only after the whole frontier is decided.
 type contributor struct {
-	entry iurtree.Entry
+	entry *iurtree.Entry
 	parts []part
 	// stale marks parts computed against an ancestor of the candidate
 	// rather than the candidate itself. Rebinding (recomputing parts
@@ -195,7 +202,12 @@ func (s *kthSelector) kth() float64 {
 // tightening them moves the bounds furthest). When no contributor
 // reaches knnu (the bound is held by exact parts), the loosest remaining
 // contributor is chosen so kNNL keeps improving.
-func (cl *contributionList) refinable(strategy RefineStrategy, numClusters int, knnu float64) int {
+//
+// hist is the entropy strategy's histogram buffer, one slot per cluster
+// of the tree; it is overwritten on every use.
+//
+//rstknn:hotpath one call per refinement step of every undecided group
+func (cl *contributionList) refinable(strategy RefineStrategy, hist []int, knnu float64) int {
 	best := -1
 	bestKey, bestTie := negInf, negInf
 	bestRelevant := false
@@ -212,7 +224,7 @@ func (cl *contributionList) refinable(strategy RefineStrategy, numClusters int, 
 		var key, tie float64
 		switch strategy {
 		case RefineByEntropy:
-			key = cluster.Entropy(c.entry.ClusterCounts(numClusters))
+			key = cluster.Entropy(c.entry.ClusterCounts(hist))
 			tie = hi
 		default: // RefineByMaxUpper
 			key = hi

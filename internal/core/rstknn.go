@@ -260,10 +260,12 @@ type worker struct {
 
 // newWorker prepares one worker for the searcher.
 func (s *searcher) newWorker() *worker {
+	sc := getScratch()
+	sc.sizeHist(s.tree.NumClusters())
 	return &worker{
 		s:       s,
 		scorer:  *NewScorer(s.opt.Alpha, s.tree.MaxD(), s.opt.Sim),
-		scratch: getScratch(),
+		scratch: sc,
 		k:       s.opt.K,
 		trace:   s.opt.BoundTrace,
 	}
@@ -350,7 +352,7 @@ func (s *searcher) run(q *Query) error {
 		w0.close()
 		return err
 	}
-	rootEntries := rootView.AppendEntries(w0.scratch.entries[:0])
+	rootEntries := rootView.AppendEntries(w0.scratch.ents.alloc(rootView.Len()))
 	w0.doneView(&rootView)
 	seeds := make([]*group, 0, len(root.Clusters)+1)
 	if s.tree.Clustered() && len(root.Clusters) > 0 {
@@ -361,7 +363,6 @@ func (s *searcher) run(q *Query) error {
 		seeds = append(seeds, &group{cluster: -1})
 	}
 	first := w0.buildChildren(&root, rootEntries, seeds, q)
-	w0.scratch.entries = rootEntries[:0]
 
 	if s.workers == 1 {
 		err = s.runSequential(w0, first, q)
@@ -500,6 +501,10 @@ const contribHeadroom = 8
 // what the bounds cover — and are tightened lazily when the group is
 // processed, keeping expansion cost linear in the fan-out.
 //
+// children must be stable storage (an ents carve): every sibling
+// contributor points into it, and inherited contributors keep pointing
+// wherever the parent group's did, so no Entry is copied per group.
+//
 // The returned candidates (and the arena-backed bounds they reference)
 // are only published to other workers through the round barrier, so the
 // scratch-owning worker is the sole writer until then.
@@ -540,7 +545,7 @@ func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, 
 					continue
 				}
 				g.cl.contributors = append(g.cl.contributors, contributor{
-					entry: children[j],
+					entry: &children[j],
 					parts: sibParts[j],
 					stale: true,
 				})
@@ -600,11 +605,9 @@ func (w *worker) process(c *candidate, q *Query) ([]queued, error) {
 	if err != nil {
 		return nil, err
 	}
-	children := v.AppendEntries(w.scratch.entries[:0])
+	children := v.AppendEntries(w.scratch.ents.alloc(v.Len()))
 	w.doneView(&v)
-	out := w.buildChildren(&c.entry, children, pending, q)
-	w.scratch.entries = children[:0]
-	return out, nil
+	return w.buildChildren(&c.entry, children, pending, q), nil
 }
 
 // settle applies one decided group's verdict: the metrics bookkeeping,
@@ -666,7 +669,7 @@ func (w *worker) decideGroup(c *candidate, g *group) (verdict, error) {
 		if w.reboundStale(gSide, &g.cl) {
 			continue
 		}
-		idx := g.cl.refinable(w.s.opt.Strategy, w.s.tree.NumClusters(), knnu)
+		idx := g.cl.refinable(w.s.opt.Strategy, sc.hist, knnu)
 		if c.entry.IsObject() {
 			// Undecided object: refine its contribution list. The loop
 			// is guaranteed to decide once every contributor is a fresh
@@ -703,7 +706,7 @@ func (w *worker) reboundStale(gSide side, cl *contributionList) bool {
 		if !ct.stale {
 			continue
 		}
-		ct.parts = w.scorer.entryBoundsInto(w.scratch, gSide, &ct.entry)
+		ct.parts = w.scorer.entryBoundsInto(w.scratch, gSide, ct.entry)
 		ct.stale = false
 		w.metrics.Rebounds++
 		changed = true
@@ -712,26 +715,27 @@ func (w *worker) reboundStale(gSide side, cl *contributionList) bool {
 }
 
 // refine replaces contributor idx with its children, re-bounded against
-// the group. The replacement buffer is scratch-owned: replace() copies it
-// into the contribution list, so it is reusable immediately.
+// the group. The children are materialized into the ents arena, where
+// the new contributors point; the replacement buffer is scratch-owned:
+// replace() copies it into the contribution list, so it is reusable
+// immediately.
 func (w *worker) refine(gSide side, cl *contributionList, idx int) error {
 	v, err := w.readView(cl.contributors[idx].entry.Child)
 	if err != nil {
 		return err
 	}
 	w.metrics.Refinements++
-	children := v.AppendEntries(w.scratch.entries[:0])
+	children := v.AppendEntries(w.scratch.ents.alloc(v.Len()))
 	w.doneView(&v)
 	repl := w.scratch.repl[:0]
 	for i := range children {
 		repl = append(repl, contributor{
-			entry: children[i],
+			entry: &children[i],
 			parts: w.scorer.entryBoundsInto(w.scratch, gSide, &children[i]),
 		})
 	}
 	cl.replace(w.scratch, idx, repl)
 	w.scratch.repl = repl[:0]
-	w.scratch.entries = children[:0]
 	return nil
 }
 

@@ -11,11 +11,11 @@ import (
 // []part per evaluation plus selector state per pruning check, and the
 // allocator dominates the profile. A scratch bundles every reusable
 // buffer one worker needs so the steady-state scoring path allocates
-// nothing: kthSelector heaps, arena-carved part and contributor slices,
-// and the transient buffers of refinement and expansion. Scratches are
-// pooled across queries; each query checks one out per worker and
-// returns them all when it finishes, so arena memory is recycled without
-// ever being shared between two live queries.
+// nothing: kthSelector heaps, arena-carved part, contributor and entry
+// slices, and the transient buffers of refinement and expansion.
+// Scratches are pooled across queries; each query checks one out per
+// worker and returns them all when it finishes, so arena memory is
+// recycled without ever being shared between two live queries.
 
 // arena is a chunked bump allocator for slices of T. Carved slices stay
 // valid until reset; reset recycles every chunk for the next query
@@ -25,8 +25,9 @@ type arena[T any] struct {
 	// get a dedicated chunk of exactly their size.
 	chunk int
 	// clearOnReset zeroes recycled chunks so value types holding
-	// pointers (e.g. contributor, whose parts and entry reference other
-	// allocations) do not retain a finished query's memory.
+	// pointers (contributor, whose parts and entry reference other
+	// allocations; iurtree.Entry, whose envelope and cluster summaries
+	// do) do not retain a finished query's memory.
 	clearOnReset bool
 
 	cur   []T   // current chunk; len = high-water mark of carved space
@@ -100,16 +101,19 @@ type scratch struct {
 	parts arena[part]
 	// contribs backs the long-lived contributor lists of groups.
 	contribs arena[contributor]
+	// ents backs every Entry materialized from a NodeView — the
+	// children of expanded and refined nodes. Contributors point into
+	// it instead of holding 184-byte copies, so a carve must stay put
+	// until release: it is never reused within a query.
+	ents arena[iurtree.Entry]
 	// repl is the transient replacement buffer of refine(): replace()
 	// copies it into the contribution list, so it never outlives a call.
 	repl []contributor
 	// sibParts is the transient per-expansion sibling-bounds buffer.
 	sibParts [][]part
-	// entries is the transient entry-materialization buffer of the
-	// zero-copy read path: expansion and refinement fill it from a
-	// NodeView, and everything downstream copies the Entry values it
-	// needs, so the buffer is reusable as soon as the call returns.
-	entries []iurtree.Entry
+	// hist is the cluster-histogram buffer of entropy refinement, sized
+	// to the tree's cluster count when a worker checks the scratch out.
+	hist []int
 	// viewBufs stacks recycled NodeView offset tables. A stack (not a
 	// single buffer) because collect() recurses with the parent's view
 	// still live; depth never exceeds the tree height.
@@ -121,6 +125,8 @@ var scratchPool = sync.Pool{New: func() any {
 	s.parts.chunk = 1024
 	s.contribs.chunk = 256
 	s.contribs.clearOnReset = true
+	s.ents.chunk = 256
+	s.ents.clearOnReset = true
 	return s
 }}
 
@@ -132,15 +138,23 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 func (s *scratch) release() {
 	s.parts.reset()
 	s.contribs.reset()
+	s.ents.reset()
 	clear(s.repl)
 	s.repl = s.repl[:0]
 	clear(s.sibParts)
 	s.sibParts = s.sibParts[:0]
-	clear(s.entries)
-	s.entries = s.entries[:0]
-	// viewBufs hold only int32 offsets — no references to retain — and
-	// stay warm across queries.
+	// viewBufs and hist hold only integers — no references to retain —
+	// and stay warm across queries.
 	scratchPool.Put(s)
+}
+
+// sizeHist sets the histogram buffer's length to n, growing it only when
+// the pooled scratch has never served a tree with that many clusters.
+func (s *scratch) sizeHist(n int) {
+	if cap(s.hist) < n {
+		s.hist = make([]int, n)
+	}
+	s.hist = s.hist[:n]
 }
 
 // getViewBuf pops a recycled offset buffer for a NodeView, or returns

@@ -64,15 +64,15 @@ func (e *Entry) Loc() geom.Point { return e.Rect.Min }
 // Doc returns the exact document vector of an object entry.
 func (e *Entry) Doc() vector.Vector { return e.Env.Int }
 
-// ClusterCounts returns the per-cluster histogram of the entry given the
-// total number of clusters, or nil for unclustered entries.
-func (e *Entry) ClusterCounts(numClusters int) []int {
-	if len(e.Clusters) == 0 {
-		return nil
-	}
-	counts := make([]int, numClusters)
+// ClusterCounts fills counts, one slot per cluster of the tree, with the
+// entry's per-cluster histogram and returns it. Slots are in cluster-ID
+// order whatever order the summaries are stored in; the buffer is zeroed
+// first, so it can be reused across calls, and an unclustered entry
+// leaves it all zeros.
+func (e *Entry) ClusterCounts(counts []int) []int {
+	clear(counts)
 	for _, cs := range e.Clusters {
-		if int(cs.Cluster) < numClusters {
+		if int(cs.Cluster) < len(counts) {
 			counts[cs.Cluster] = int(cs.Count)
 		}
 	}

@@ -155,7 +155,7 @@ func TestCIURTreeClusterSummaries(t *testing.T) {
 	}
 	// Root histogram must equal the assignment's sizes.
 	root := tr.RootEntry()
-	counts := root.ClusterCounts(tr.NumClusters())
+	counts := root.ClusterCounts(make([]int, tr.NumClusters()))
 	want := asg.Sizes()
 	for c := range want {
 		if counts[c] != want[c] {
@@ -349,12 +349,19 @@ func TestDecodeNodeErrors(t *testing.T) {
 
 func TestClusterCounts(t *testing.T) {
 	e := Entry{Clusters: []ClusterSummary{{Cluster: 0, Count: 3}, {Cluster: 2, Count: 1}}}
-	got := e.ClusterCounts(4)
+	got := e.ClusterCounts(make([]int, 4))
 	if got[0] != 3 || got[1] != 0 || got[2] != 1 || got[3] != 0 {
 		t.Errorf("ClusterCounts = %v", got)
 	}
+	// A reused buffer is filled in cluster-ID order whatever the
+	// summaries' stored order, clearing what a previous call left.
+	buf := []int{9, 9, 9, 9}
+	mixed := Entry{Clusters: []ClusterSummary{{Cluster: 3, Count: 2}, {Cluster: 1, Count: 5}}}
+	if got := mixed.ClusterCounts(buf); got[0] != 0 || got[1] != 5 || got[2] != 0 || got[3] != 2 {
+		t.Errorf("ClusterCounts over out-of-order summaries = %v", got)
+	}
 	var plain Entry
-	if plain.ClusterCounts(4) != nil {
-		t.Error("unclustered entry should return nil")
+	if got := plain.ClusterCounts(buf); got[0] != 0 || got[1] != 0 || got[2] != 0 || got[3] != 0 {
+		t.Errorf("unclustered entry should leave zeros, got %v", got)
 	}
 }
