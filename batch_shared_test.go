@@ -12,22 +12,19 @@ import (
 )
 
 // TestBatchSharedMatchesAblation pins the engine-level equivalence of
-// shared-traversal batch execution: against two identically built
-// engines — one with the shared path (the default), one forced onto the
-// independent fan-out via Options.SharedBatch — the same batch must
+// shared-traversal batch execution against its ablation — every request
+// answered alone through QueryCtx on the same engine. The batch must
 // return identical per-request IDs and identical per-request logical
-// counters, while the shared BatchStats show strictly fewer physical
-// node reads.
+// counters, while BatchStats show no more physical node reads than the
+// standalone queries paid in total, and strictly fewer once two or more
+// requests share the traversal. The single-request batch is a case of
+// its own: it too runs the shared traversal.
 func TestBatchSharedMatchesAblation(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	objs := genRestaurants(rng, 900)
 	for _, idx := range []IndexKind{IUR, CIUR} {
 		t.Run(idx.String(), func(t *testing.T) {
-			shared, err := Build(objs, Options{Index: idx, Seed: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			indep, err := Build(objs, Options{Index: idx, Seed: 5, SharedBatch: -1})
+			eng, err := Build(objs, Options{Index: idx, Seed: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,59 +34,64 @@ func TestBatchSharedMatchesAblation(t *testing.T) {
 					Text: menuTerms[i%len(menuTerms)], K: 1 + i%6}
 			}
 			ctx := context.Background()
-			iRes, iStats := indep.BatchQueryStatsCtx(ctx, reqs, 0)
-			if iStats.Shared {
-				t.Fatal("SharedBatch<0 engine reported a shared batch")
+			indep := make([]*Result, len(reqs))
+			for i, r := range reqs {
+				if indep[i], err = eng.QueryCtx(ctx, r.X, r.Y, r.Text, r.K); err != nil {
+					t.Fatalf("standalone request %d: %v", i, err)
+				}
 			}
-			for _, parallelism := range []int{1, 4} {
-				sRes, sStats := shared.BatchQueryStatsCtx(ctx, reqs, parallelism)
-				if !sStats.Shared {
-					t.Fatalf("parallelism=%d: default engine did not share", parallelism)
+			for _, n := range []int{len(reqs), 1} {
+				indepReads := 0
+				for _, r := range indep[:n] {
+					indepReads += r.Stats.NodesRead
 				}
-				logical := 0
-				for i := range reqs {
-					tag := fmt.Sprintf("parallelism=%d request=%d", parallelism, i)
-					if sRes[i].Err != nil || iRes[i].Err != nil {
-						t.Fatalf("%s: shared=%v independent=%v", tag, sRes[i].Err, iRes[i].Err)
+				for _, parallelism := range []int{1, 4} {
+					sRes, sStats := eng.BatchQueryStatsCtx(ctx, reqs[:n], parallelism)
+					logical := 0
+					for i := range reqs[:n] {
+						tag := fmt.Sprintf("batch=%d parallelism=%d request=%d", n, parallelism, i)
+						if sRes[i].Err != nil {
+							t.Fatalf("%s: %v", tag, sRes[i].Err)
+						}
+						ss, is := sRes[i].Result.Stats, indep[i].Stats
+						if !reflect.DeepEqual(sRes[i].Result.IDs, indep[i].IDs) {
+							t.Errorf("%s: IDs %v != standalone %v", tag, sRes[i].Result.IDs, indep[i].IDs)
+						}
+						if ss.NodesRead != is.NodesRead || ss.ExactSims != is.ExactSims ||
+							ss.BoundEvals != is.BoundEvals || ss.GroupPruned != is.GroupPruned ||
+							ss.GroupReported != is.GroupReported || ss.Candidates != is.Candidates ||
+							ss.Refinements != is.Refinements {
+							t.Errorf("%s: logical counters drifted:\nshared     %+v\nstandalone %+v", tag, ss, is)
+						}
+						if ss.SharedReads != int64(ss.NodesRead) {
+							t.Errorf("%s: SharedReads %d != NodesRead %d", tag, ss.SharedReads, ss.NodesRead)
+						}
+						if ss.PageAccesses != 0 {
+							t.Errorf("%s: shared query charged %d pages; physical I/O belongs to BatchStats", tag, ss.PageAccesses)
+						}
+						if r := ss.CacheHitRatio(); r != 1 {
+							t.Errorf("%s: CacheHitRatio %g, want 1 (every read batch-shared)", tag, r)
+						}
+						if is.SharedReads != 0 {
+							t.Errorf("%s: standalone query recorded %d shared reads", tag, is.SharedReads)
+						}
+						logical += ss.NodesRead
 					}
-					ss, is := sRes[i].Result.Stats, iRes[i].Result.Stats
-					if !reflect.DeepEqual(sRes[i].Result.IDs, iRes[i].Result.IDs) {
-						t.Errorf("%s: IDs %v != independent %v", tag, sRes[i].Result.IDs, iRes[i].Result.IDs)
+					if sStats.NodesRead > indepReads || (n > 1 && sStats.NodesRead == indepReads) {
+						t.Errorf("batch=%d parallelism=%d: shared physical reads %d not below standalone %d",
+							n, parallelism, sStats.NodesRead, indepReads)
 					}
-					if ss.NodesRead != is.NodesRead || ss.ExactSims != is.ExactSims ||
-						ss.BoundEvals != is.BoundEvals || ss.GroupPruned != is.GroupPruned ||
-						ss.GroupReported != is.GroupReported || ss.Candidates != is.Candidates ||
-						ss.Refinements != is.Refinements {
-						t.Errorf("%s: logical counters drifted:\nshared      %+v\nindependent %+v", tag, ss, is)
+					if sStats.SharedHits != logical-sStats.NodesRead {
+						t.Errorf("batch=%d parallelism=%d: SharedHits %d != logical %d - physical %d",
+							n, parallelism, sStats.SharedHits, logical, sStats.NodesRead)
 					}
-					if ss.SharedReads != int64(ss.NodesRead) {
-						t.Errorf("%s: SharedReads %d != NodesRead %d", tag, ss.SharedReads, ss.NodesRead)
+					if want := float64(sStats.NodesRead) / float64(n); sStats.NodesReadPerQuery != want {
+						t.Errorf("batch=%d parallelism=%d: NodesReadPerQuery %g != %g",
+							n, parallelism, sStats.NodesReadPerQuery, want)
 					}
-					if ss.PageAccesses != 0 {
-						t.Errorf("%s: shared query charged %d pages; physical I/O belongs to BatchStats", tag, ss.PageAccesses)
+					if sStats.Requests != n {
+						t.Errorf("batch=%d parallelism=%d: Requests %d != %d", n, parallelism, sStats.Requests, n)
 					}
-					if r := ss.CacheHitRatio(); r != 1 {
-						t.Errorf("%s: CacheHitRatio %g, want 1 (every read batch-shared)", tag, r)
-					}
-					if is.SharedReads != 0 {
-						t.Errorf("%s: independent query recorded %d shared reads", tag, is.SharedReads)
-					}
-					logical += ss.NodesRead
-				}
-				if sStats.NodesRead >= iStats.NodesRead {
-					t.Errorf("parallelism=%d: shared physical reads %d not below independent %d",
-						parallelism, sStats.NodesRead, iStats.NodesRead)
-				}
-				if sStats.SharedHits != logical-sStats.NodesRead {
-					t.Errorf("parallelism=%d: SharedHits %d != logical %d - physical %d",
-						parallelism, sStats.SharedHits, logical, sStats.NodesRead)
-				}
-				if want := float64(sStats.NodesRead) / float64(len(reqs)); sStats.NodesReadPerQuery != want {
-					t.Errorf("parallelism=%d: NodesReadPerQuery %g != %g",
-						parallelism, sStats.NodesReadPerQuery, want)
-				}
-				if sStats.Requests != len(reqs) {
-					t.Errorf("parallelism=%d: Requests %d != %d", parallelism, sStats.Requests, len(reqs))
 				}
 			}
 		})
@@ -111,11 +113,17 @@ func TestBatchSharedMixedValidity(t *testing.T) {
 		{X: 30, Y: 30, Text: "pizza", K: 2},
 	}
 	out, bs := eng.BatchQueryStatsCtx(context.Background(), reqs, 0)
-	if !bs.Shared {
-		t.Fatal("expected the shared path")
-	}
 	if out[0].Err != nil || out[2].Err != nil {
 		t.Fatalf("valid requests failed: %v / %v", out[0].Err, out[2].Err)
+	}
+	for _, i := range []int{0, 2} {
+		if st := out[i].Result.Stats; st.SharedReads != int64(st.NodesRead) {
+			t.Errorf("request %d: SharedReads %d != NodesRead %d: not answered by the shared traversal",
+				i, st.SharedReads, st.NodesRead)
+		}
+	}
+	if bs.Requests != len(reqs) {
+		t.Errorf("Requests %d != %d", bs.Requests, len(reqs))
 	}
 	if out[1].Err == nil {
 		t.Fatal("K=0 request succeeded")
@@ -212,8 +220,11 @@ func TestBatchSharedSnapshotUnderMutation(t *testing.T) {
 					reqs[i] = req
 				}
 				out, bs := eng.BatchQueryStatsCtx(context.Background(), reqs, 1+rrng.Intn(4))
-				if !bs.Shared {
-					errCh <- fmt.Errorf("reader %d: batch not shared", r)
+				// Identical requests read identical node sets, so every
+				// copy after the first is served entirely by the table.
+				if bs.SharedHits < (len(reqs)-1)*bs.NodesRead {
+					errCh <- fmt.Errorf("reader %d: %d shared hits over %d physical reads: identical requests did not share",
+						r, bs.SharedHits, bs.NodesRead)
 					return
 				}
 				for i := range out {

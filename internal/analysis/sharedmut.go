@@ -3,7 +3,7 @@ package analysis
 // sharedmut: goroutine closures must not write shared state except
 // through the designated merge path.
 //
-// The intra-query fan-out (internal/core's runRounds and friends) keeps
+// The intra-query fan-out (internal/core's runBatchRounds and friends) keeps
 // its determinism proof by construction: every worker writes only its
 // own disjoint partition of the result slices, indexed by a
 // worker-local counter (children[j], errs[j] = ...). sharedmut makes

@@ -85,8 +85,9 @@ type BichromaticOptions struct {
 	Sim   vector.TextSim
 	// Workers bounds the parallelism of the per-user loop, which is
 	// embarrassingly parallel: each user's influence test is independent.
-	// Values <= 0 default to runtime.GOMAXPROCS(0); 1 runs sequentially.
-	// The outcome is identical at every worker count.
+	// Values <= 0 default to runtime.GOMAXPROCS(0), values above it are
+	// clamped, and the pool never exceeds the number of users. The
+	// outcome is identical at every worker count.
 	Workers int
 	// Ctx, when non-nil, cancels the query: it is checked before every
 	// node read and between users.
@@ -117,30 +118,10 @@ func BichromaticRSTkNN(facilities *iurtree.Snapshot, users []iurtree.Object, q Q
 	if workers > len(users) {
 		workers = len(users)
 	}
-	if workers <= 1 {
-		sc := NewScorer(opt.Alpha, facilities.MaxD(), opt.Sim)
-		for i := range users {
-			if err := checkCtx(opt.Ctx); err != nil {
-				return nil, err
-			}
-			influenced, m, err := testUser(facilities, &users[i], &q, sc, opt)
-			if err != nil {
-				return nil, err
-			}
-			out.Metrics.add(&m)
-			if influenced {
-				out.UserIDs = append(out.UserIDs, users[i].ID)
-			}
-		}
-		out.Metrics.ExactSims += sc.ExactCount
-		sort.Slice(out.UserIDs, func(i, j int) bool { return out.UserIDs[i] < out.UserIDs[j] })
-		return out, nil
-	}
-
 	// Each user's influence test is independent, so the loop fans out
 	// across a worker pool. Every worker has a private scorer and private
 	// accumulators; metrics are sums and the ID set is sorted, so the
-	// merged outcome is identical to the sequential loop's.
+	// merged outcome is identical at every pool size.
 	type tally struct {
 		ids     []int32
 		metrics Metrics

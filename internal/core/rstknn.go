@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"rstknn/internal/iurtree"
-	"rstknn/internal/pq"
 	"rstknn/internal/storage"
 	"rstknn/internal/vector"
 )
@@ -65,15 +64,14 @@ type Options struct {
 	// the DESIGN.md ablation; lazy (false) is strictly better in
 	// practice because pruned groups never pay for tight bounds.
 	EagerBounds bool
-	// Workers bounds the intra-query parallelism: the candidate frontier
+	// Workers bounds the traversal's parallelism: the candidate frontier
 	// is processed in rounds, fanning the per-candidate work (bound
 	// tightening, hit/prune decisions, node reads) across this many
-	// goroutines. Values <= 0 default to runtime.GOMAXPROCS(0); 1 runs
-	// the classic sequential best-first loop; values above GOMAXPROCS
-	// are clamped to it (idle goroutines on a saturated CPU only add
-	// scheduling overhead). Every verdict depends only on the
-	// candidate's own contribution list, so results and Metrics are
-	// identical at every worker count.
+	// goroutines. Values <= 0 default to runtime.GOMAXPROCS(0); values
+	// above GOMAXPROCS are clamped to it (idle goroutines on a saturated
+	// CPU only add scheduling overhead), and 1 runs every round inline.
+	// Every verdict depends only on the candidate's own contribution
+	// list, so results and Metrics are identical at every worker count.
 	Workers int
 	// BoundTrace, when non-nil, is invoked with the final kNN bounds of
 	// every object-level candidate the moment it is decided. It exists
@@ -169,34 +167,42 @@ type group struct {
 	cl      contributionList
 }
 
-// candidate is a tree entry with its still-undecided groups. Keeping the
-// groups of one entry together means expansion reads the node exactly
-// once no matter how many clusters remain undecided.
-type candidate struct {
-	entry iurtree.Entry
-	// idx is the entry's position within its parent node. Single-query
-	// search never consults it; the shared-traversal batch driver uses it
-	// as the merge key that folds the per-query children of one expanded
-	// node back into one frontier slot per child (see batch.go).
-	idx    int
-	groups []*group
-}
-
-// queued is a candidate with its queue priority (the best query upper
-// bound among its groups).
-type queued struct {
-	c   *candidate
-	pri float64
-}
-
 // RSTkNN answers the reverse spatial-textual k nearest neighbor query on
 // a sealed IUR-tree or CIUR-tree: it returns every indexed object o such
 // that SimST(o, q) >= SimST(o, o_k), where o_k is o's k-th most similar
 // indexed object (excluding o itself). Objects with fewer than k
 // neighbors are always results.
+//
+// A single query is the one-item case of the shared traversal (see
+// batch.go), run without a batch node table: every node read goes
+// straight to the store and is charged to opt.Tracker.
 func RSTkNN(t *iurtree.Snapshot, q Query, opt Options) (*Outcome, error) {
-	if opt.K <= 0 {
-		return nil, fmt.Errorf("core: K must be positive, got %d", opt.K)
+	outs, err := search(t, []BatchItem{{Query: q, K: opt.K, BoundTrace: opt.BoundTrace}}, opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// searcher is what every worker of one traversal shares read-only: the
+// tree, the options, the queries, and the batch node table (nil for a
+// single query, whose reads go straight to the store).
+type searcher struct {
+	tree  *iurtree.Snapshot
+	opt   Options
+	items []BatchItem
+	table *batchTable
+}
+
+// search is the one traversal driver behind RSTkNN and MultiRSTkNN: it
+// validates the inputs, seeds the shared frontier, drains it in rounds,
+// and merges every worker's per-query lanes into one Outcome per item,
+// in item order, with Results sorted ascending.
+func search(t *iurtree.Snapshot, items []BatchItem, opt Options, table *batchTable) ([]*Outcome, error) {
+	for i := range items {
+		if items[i].K <= 0 {
+			return nil, fmt.Errorf("core: item %d: K must be positive, got %d", i, items[i].K)
+		}
 	}
 	if opt.Alpha < 0 || opt.Alpha > 1 {
 		return nil, fmt.Errorf("core: Alpha must be in [0,1], got %g", opt.Alpha)
@@ -204,58 +210,101 @@ func RSTkNN(t *iurtree.Snapshot, q Query, opt Options) (*Outcome, error) {
 	if err := checkCtx(opt.Ctx); err != nil {
 		return nil, err
 	}
-	out := &Outcome{}
-	if t.Len() == 0 {
-		return out, nil
+	outs := make([]*Outcome, len(items))
+	for i := range outs {
+		outs[i] = &Outcome{}
 	}
-	s := &searcher{
-		tree:    t,
-		opt:     opt,
-		out:     out,
-		workers: effectiveWorkers(opt.Workers),
+	if len(items) == 0 || t.Len() == 0 {
+		return outs, nil
 	}
-	if err := s.run(&q); err != nil {
+
+	s := &searcher{tree: t, opt: opt, items: items, table: table}
+	ws := make([]*worker, effectiveWorkers(opt.Workers))
+	for i := range ws {
+		ws[i] = s.newWorker()
+	}
+	// Scratches are recycled only after the frontier is fully drained
+	// and every lane harvested — candidates built by one worker may
+	// reference arena-backed bounds owned by another until decided.
+	defer func() {
+		for _, w := range ws {
+			w.release()
+		}
+	}()
+
+	frontier, err := ws[0].seed()
+	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out.Results, func(i, j int) bool { return out.Results[i] < out.Results[j] })
-	return out, nil
+	if err := runBatchRounds(ws, frontier); err != nil {
+		return nil, err
+	}
+
+	for _, w := range ws {
+		for qi, o := range outs {
+			o.Metrics.add(&w.lanes[qi].metrics)
+			o.Results = append(o.Results, w.lanes[qi].results...)
+		}
+	}
+	for _, o := range outs {
+		sort.Slice(o.Results, func(i, j int) bool { return o.Results[i] < o.Results[j] })
+	}
+	return outs, nil
 }
 
-// searcher coordinates one query: it seeds the candidate frontier, drives
-// it to exhaustion (sequentially or in parallel rounds), and merges the
-// per-worker tallies into the Outcome.
-type searcher struct {
-	tree    *iurtree.Snapshot
-	opt     Options
-	out     *Outcome
-	workers int
+// activeQuery is one query's stake in a frontier slot: its index among
+// the searcher's items plus its still-undecided groups below the slot's
+// entry.
+type activeQuery struct {
+	qi     int
+	groups []*group
+}
+
+// candidate is one frontier slot: a tree entry plus the queries still
+// active on it, in ascending query order for determinism. Keeping every
+// query's groups of one entry together means expansion reads the node
+// exactly once no matter how many queries and clusters remain undecided.
+// The entry points into the ents carve of the expansion that produced
+// it; the slot itself and its active list are carved from the scratch
+// arenas of the worker that built them.
+type candidate struct {
+	entry  *iurtree.Entry
+	active []activeQuery
+}
+
+// lane is one worker's private accumulator for one query. Totals are
+// order-independent sums, so adding the lanes of all workers yields the
+// same Metrics at every worker count.
+type lane struct {
+	metrics Metrics
+	results []int32
 }
 
 // worker owns everything one goroutine touches while deciding candidates:
 // a private Scorer (so similarity counters need no synchronization), a
-// pooled scratch, and local result/metric accumulators. All cross-worker
+// pooled scratch, and one accumulator lane per query. All cross-worker
 // aggregates are sums or sets, so the merge is order-independent and the
-// outcome identical to a sequential run.
+// outcome identical at every worker count.
 type worker struct {
 	s       *searcher
 	scorer  Scorer
 	scratch *scratch
+	lanes   []lane
+
+	// Active-query state. Before any per-query work (deciding groups,
+	// charging a read, building children) begin retargets these fields at
+	// that query and end parks the accumulators back in its lane, so the
+	// decision machinery below never consults Options.K or BoundTrace.
+	qi      int
+	q       *Query
+	k       int
+	trace   func(objID int32, knnl, knnu float64)
+	qtr     *storage.Tracker
 	metrics Metrics
 	results []int32
-
-	// Per-query lane state. Single-query search fixes k and trace from
-	// the searcher's Options at newWorker time; the shared-traversal
-	// batch driver retargets all four fields per active query (see
-	// batchWorker.begin), so the decision machinery below never consults
-	// opt.K or opt.BoundTrace directly.
-	k     int
-	trace func(objID int32, knnl, knnu float64)
-	// qtr is the per-query tracker shared reads are attributed to in
-	// batch mode; single-query mode charges s.opt.Tracker via the store.
-	qtr *storage.Tracker
-	// batch, when non-nil, routes every node read through the batch's
-	// once-per-node view table instead of the store.
-	batch *batchTable
+	// e0/b0 snapshot the scorer counters at begin so end can attribute
+	// the delta to the active query's lane.
+	e0, b0 int64
 }
 
 // newWorker prepares one worker for the searcher.
@@ -266,19 +315,46 @@ func (s *searcher) newWorker() *worker {
 		s:       s,
 		scorer:  *NewScorer(s.opt.Alpha, s.tree.MaxD(), s.opt.Sim),
 		scratch: sc,
-		k:       s.opt.K,
-		trace:   s.opt.BoundTrace,
+		lanes:   make([]lane, len(s.items)),
 	}
 }
 
-// close merges the worker's tallies into the outcome and recycles its
-// scratch. Call only after every candidate referencing the scratch's
-// arenas is decided.
-func (w *worker) close() {
-	w.metrics.ExactSims += w.scorer.ExactCount
-	w.metrics.BoundEvals += w.scorer.BoundCount
-	w.s.out.Metrics.add(&w.metrics)
-	w.s.out.Results = append(w.s.out.Results, w.results...)
+// begin retargets the worker at query qi's lane.
+//
+//rstknn:hotpath per-query lane switch in the traversal inner loop
+func (w *worker) begin(qi int) {
+	it := &w.s.items[qi]
+	w.qi = qi
+	w.q = &it.Query
+	w.k = it.K
+	w.trace = it.BoundTrace
+	w.qtr = it.Tracker
+	ln := &w.lanes[qi]
+	w.metrics = ln.metrics
+	w.results = ln.results
+	w.e0 = w.scorer.ExactCount
+	w.b0 = w.scorer.BoundCount
+}
+
+// end parks the worker's accumulators back into query qi's lane,
+// folding the scorer-counter delta since begin into the lane's
+// similarity tallies.
+//
+//rstknn:hotpath per-query lane switch in the traversal inner loop
+func (w *worker) end(qi int) {
+	ln := &w.lanes[qi]
+	ln.metrics = w.metrics
+	ln.metrics.ExactSims += w.scorer.ExactCount - w.e0
+	ln.metrics.BoundEvals += w.scorer.BoundCount - w.b0
+	w.e0 = w.scorer.ExactCount
+	w.b0 = w.scorer.BoundCount
+	ln.results = w.results
+}
+
+// release recycles the worker's scratch. Call only after the frontier is
+// fully drained AND the lanes have been harvested: live candidates of
+// any query may reference arena-backed memory owned by this scratch.
+func (w *worker) release() {
 	w.scratch.release()
 	w.scratch = nil
 }
@@ -292,13 +368,13 @@ func (w *worker) readView(id storage.NodeID) (iurtree.NodeView, error) {
 	if err := checkCtx(w.s.opt.Ctx); err != nil {
 		return iurtree.NodeView{}, err
 	}
-	if w.batch != nil {
+	if w.s.table != nil {
 		// Shared-traversal batch: the table fetches each node at most
 		// once per batch (charging the physical I/O to the batch
 		// tracker); this query records the logical read — NodesRead stays
 		// bit-identical to an independent run — plus one shared-read
 		// attribution on its own tracker.
-		v, err := w.batch.load(id)
+		v, err := w.s.table.load(id)
 		if err != nil {
 			return iurtree.NodeView{}, err
 		}
@@ -319,41 +395,35 @@ func (w *worker) readView(id storage.NodeID) (iurtree.NodeView, error) {
 // owns them for the lifetime of the batch, and other queries may still
 // read through the same view.
 func (w *worker) doneView(v *iurtree.NodeView) {
-	if w.batch != nil {
+	if w.s.table != nil {
 		return
 	}
 	w.scratch.putViewBuf(v.RecycleBuf())
 }
 
-// run seeds the frontier with the root's children and drains it.
-func (s *searcher) run(q *Query) error {
+// seed builds the first frontier: the root's children, every cluster
+// group of every query undecided, each child contributing to the others.
+// The pseudo parent groups carry empty contribution lists and are never
+// mutated by buildChildren, so one seed slice serves every query.
+func (w *worker) seed() ([]candidate, error) {
+	s := w.s
 	root := s.tree.RootEntry()
-	w0 := s.newWorker()
 	if root.Count == 1 {
 		// A single object: it has no neighbors, so the k-th NN similarity
-		// is -Inf and the object is always a result.
-		v, err := w0.readView(root.Child)
-		if err != nil {
-			w0.close()
-			return err
+		// is -Inf and the object is always a result, for every query.
+		for qi := range s.items {
+			w.begin(qi)
+			v, err := w.readView(root.Child)
+			if err != nil {
+				return nil, err
+			}
+			w.metrics.Candidates++
+			w.results = append(w.results, v.EntryObjID(0))
+			w.doneView(&v)
+			w.end(qi)
 		}
-		w0.metrics.Candidates++
-		w0.results = append(w0.results, v.EntryObjID(0))
-		w0.doneView(&v)
-		w0.close()
-		return nil
+		return nil, nil
 	}
-
-	// Seed: the root's children, every cluster group undecided, each
-	// child contributing to the others. The pseudo parent groups carry
-	// empty contribution lists.
-	rootView, err := w0.readView(root.Child)
-	if err != nil {
-		w0.close()
-		return err
-	}
-	rootEntries := rootView.AppendEntries(w0.scratch.ents.alloc(rootView.Len()))
-	w0.doneView(&rootView)
 	seeds := make([]*group, 0, len(root.Clusters)+1)
 	if s.tree.Clustered() && len(root.Clusters) > 0 {
 		for _, cs := range root.Clusters {
@@ -362,34 +432,11 @@ func (s *searcher) run(q *Query) error {
 	} else {
 		seeds = append(seeds, &group{cluster: -1})
 	}
-	first := w0.buildChildren(&root, rootEntries, seeds, q)
-
-	if s.workers == 1 {
-		err = s.runSequential(w0, first, q)
-		w0.close()
-		return err
+	all := make([]activeQuery, len(s.items))
+	for qi := range all {
+		all[qi] = activeQuery{qi: qi, groups: seeds}
 	}
-	return s.runRounds(w0, first, q)
-}
-
-// runSequential is the classic best-first loop: one candidate at a time,
-// popped in descending query-upper-bound order.
-func (s *searcher) runSequential(w *worker, first []queued, q *Query) error {
-	queue := pq.NewMax[*candidate]()
-	for _, qc := range first {
-		queue.Push(qc.c, qc.pri)
-	}
-	for !queue.Empty() {
-		c, _ := queue.Pop()
-		children, err := w.process(c, q)
-		if err != nil {
-			return err
-		}
-		for _, qc := range children {
-			queue.Push(qc.c, qc.pri)
-		}
-	}
-	return nil
+	return w.expand(&root, all)
 }
 
 // minFanoutRound is the smallest frontier size a round fans out across
@@ -399,45 +446,31 @@ func (s *searcher) runSequential(w *worker, first []queued, q *Query) error {
 // baseline showed Workers=2 running 0.93x sequential on a 1-CPU machine.
 const minFanoutRound = 8
 
-// runRounds is the intra-query parallel engine: the whole frontier is
-// processed per round, with candidates fanned across the worker pool.
-// Every group's verdict depends only on its own contribution list — never
-// on another candidate or on processing order — so the only coordination
-// is the round barrier, and the merged outcome is bit-identical to the
-// sequential engine's. w0 (which already carries the seed-phase tallies)
-// serves as worker 0.
-func (s *searcher) runRounds(w0 *worker, first []queued, q *Query) error {
-	ws := make([]*worker, s.workers)
-	ws[0] = w0
-	for i := 1; i < len(ws); i++ {
-		ws[i] = s.newWorker()
-	}
-	// Workers are closed (merging tallies, recycling arenas) only after
-	// the frontier is fully drained: a candidate built by one worker may
-	// reference arena-backed bounds owned by another until it is decided.
-	defer func() {
-		for _, w := range ws {
-			w.close()
-		}
-	}()
-
+// runBatchRounds drains the frontier: the whole frontier is processed
+// per round, slots fanned across the worker pool by an atomic counter,
+// children merged back in frontier order. Every (query, group) verdict
+// depends only on its own contribution list — never on another candidate
+// or on processing order — so the only coordination is the round
+// barrier, the merged outcome is identical at every worker count, and
+// the frontier-order merge keeps runs reproducible.
+func runBatchRounds(ws []*worker, first []candidate) error {
 	round := first
 	var firstErr error
 	for len(round) > 0 && firstErr == nil {
-		children := make([][]queued, len(round))
+		children := make([][]candidate, len(round))
 		errs := make([]error, len(round))
-		if len(round) < minFanoutRound {
-			// Small frontier: goroutine spawn plus the round barrier cost
-			// more than the candidates' work, so run them inline on
-			// worker 0. Verdicts depend only on each candidate's own
-			// contribution list, so this changes wall-clock only.
+		if len(ws) == 1 || len(round) < minFanoutRound {
+			// Small frontier (or a one-worker pool): goroutine spawn plus
+			// the round barrier cost more than the candidates' work, so
+			// run them inline on worker 0 — wall-clock changes, verdicts
+			// do not.
 			for j := range round {
-				children[j], errs[j] = ws[0].process(round[j].c, q)
+				children[j], errs[j] = ws[0].process(&round[j])
 			}
 		} else {
 			var next atomic.Int64
 			var wg sync.WaitGroup
-			spawn := s.workers
+			spawn := len(ws)
 			if spawn > len(round) {
 				spawn = len(round)
 			}
@@ -450,16 +483,13 @@ func (s *searcher) runRounds(w0 *worker, first []queued, q *Query) error {
 						if j >= len(round) {
 							return
 						}
-						children[j], errs[j] = w.process(round[j].c, q)
+						children[j], errs[j] = w.process(&round[j])
 					}
 				}(ws[i])
 			}
 			wg.Wait()
 		}
-		// Deterministic merge: children enter the next round in frontier
-		// order. (Order does not affect verdicts; it keeps runs
-		// reproducible for debugging.)
-		var next []queued
+		var next []candidate
 		for i := range children {
 			if errs[i] != nil && firstErr == nil {
 				firstErr = errs[i]
@@ -469,6 +499,77 @@ func (s *searcher) runRounds(w0 *worker, first []queued, q *Query) error {
 		round = next
 	}
 	return firstErr
+}
+
+// process drives one frontier slot: every active query's groups are
+// decided (or kept pending), then — if any query still needs the subtree
+// — the entry's node is expanded once for all of them. The slot is
+// consumed: its active list and group lists are filtered in place down to
+// the pending ones, which only the processing worker ever touches.
+func (w *worker) process(c *candidate) ([]candidate, error) {
+	pending := c.active[:0]
+	for _, aq := range c.active {
+		w.begin(aq.qi)
+		pend := aq.groups[:0]
+		for _, g := range aq.groups {
+			v, err := w.decideGroup(c.entry, g)
+			if err != nil {
+				return nil, err
+			}
+			if v == verdictExpand {
+				pend = append(pend, g)
+				continue
+			}
+			if err := w.settle(c.entry, g, v); err != nil {
+				return nil, err
+			}
+		}
+		w.end(aq.qi)
+		if len(pend) > 0 {
+			pending = append(pending, activeQuery{qi: aq.qi, groups: pend})
+		}
+	}
+	if len(pending) == 0 {
+		return nil, nil
+	}
+	return w.expand(c.entry, pending)
+}
+
+// expand reads parent's node and turns its entries into the next
+// frontier slots. Every pending query charges one logical read (keeping
+// its NodesRead identical to a standalone run); a batch table fetches the
+// node at most once for all of them, and a single query's one read goes
+// to the store. The fan-out is materialized once into the ents arena, and
+// every pending query's children are merged into the shared slot of
+// their entry index. Slots come out in entry order, active lists in
+// ascending query order (pending preserves it) — deterministic regardless
+// of which worker expanded the parent.
+func (w *worker) expand(parent *iurtree.Entry, pending []activeQuery) ([]candidate, error) {
+	var v iurtree.NodeView
+	for _, p := range pending {
+		w.begin(p.qi)
+		var err error
+		v, err = w.readView(parent.Child)
+		w.end(p.qi)
+		if err != nil {
+			return nil, err
+		}
+	}
+	children := v.AppendEntries(w.scratch.ents.alloc(v.Len()))
+	w.doneView(&v)
+	slots := w.scratch.slots.alloc(len(children))[:len(children)]
+	for _, p := range pending {
+		w.begin(p.qi)
+		w.buildChildren(parent, children, p.groups, slots, len(pending))
+		w.end(p.qi)
+	}
+	out := slots[:0]
+	for i := range slots {
+		if len(slots[i].active) > 0 {
+			out = append(out, slots[i])
+		}
+	}
+	return out, nil
 }
 
 // clusterGroupOf returns the child's cluster summary matching the parent
@@ -492,26 +593,29 @@ func clusterGroupOf(e *iurtree.Entry, cluster int32) *iurtree.ClusterSummary {
 // contributor with a node's children) usually stay inside the carve.
 const contribHeadroom = 8
 
-// buildChildren turns the entries of an expanded node into candidates.
-// Each surviving parent group is projected onto every child that holds
-// objects of its cluster; the child group inherits the parent group's
-// contribution list and gains the child's siblings as contributors.
-// Inherited and sibling bounds are kept at parent/node granularity and
-// marked stale — valid for the group because its objects are a subset of
-// what the bounds cover — and are tightened lazily when the group is
-// processed, keeping expansion cost linear in the fan-out.
+// buildChildren turns the entries of an expanded node into the active
+// query's share of the child slots. Each surviving parent group is
+// projected onto every child that holds objects of its cluster; the child
+// group inherits the parent group's contribution list and gains the
+// child's siblings as contributors. Inherited and sibling bounds are kept
+// at parent/node granularity and marked stale — valid for the group
+// because its objects are a subset of what the bounds cover — and are
+// tightened lazily when the group is processed, keeping expansion cost
+// linear in the fan-out.
 //
 // children must be stable storage (an ents carve): every sibling
-// contributor points into it, and inherited contributors keep pointing
-// wherever the parent group's did, so no Entry is copied per group.
+// contributor and every slot entry points into it, and inherited
+// contributors keep pointing wherever the parent group's did, so no
+// Entry is copied per group. slots is index-aligned with children; a
+// slot's active list is carved with room for maxActive queries (the
+// number sharing the expansion) the first time any of them lands there.
 //
-// The returned candidates (and the arena-backed bounds they reference)
-// are only published to other workers through the round barrier, so the
+// The slots (and the arena-backed bounds they reference) are only
+// published to other workers through the round barrier, so the
 // scratch-owning worker is the sole writer until then.
-func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, parentGroups []*group, q *Query) []queued {
+func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, parentGroups []*group, slots []candidate, maxActive int) {
 	parentSide := sideOf(parent)
 	sibParts := w.scratch.sibParts[:0] // lazily filled once, shared by all groups
-	var out []queued
 	for i := range children {
 		child := &children[i]
 		var groups []*group
@@ -530,7 +634,7 @@ func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, 
 				env:     cs.Env,
 				count:   cs.Count,
 			}
-			g.q = w.scorer.queryBounds(side{rect: child.Rect, env: cs.Env, exact: child.IsObject()}, q)
+			g.q = w.scorer.queryBounds(side{rect: child.Rect, env: cs.Env, exact: child.IsObject()}, w.q)
 			g.cl.self = w.scorer.selfPartsInto(w.scratch, child, pg.cluster, cs.Env, cs.Count)
 			g.cl.contributors = allocContribs(w.scratch, len(pg.cl.contributors)+len(children)-1, contribHeadroom)
 			for j := range pg.cl.contributors {
@@ -559,16 +663,14 @@ func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, 
 		if len(groups) == 0 {
 			continue
 		}
-		best := negInf
-		for _, g := range groups {
-			if g.q.hi > best {
-				best = g.q.hi
-			}
+		slot := &slots[i]
+		if len(slot.active) == 0 {
+			slot.entry = child
+			slot.active = w.scratch.active.alloc(maxActive)
 		}
-		out = append(out, queued{c: &candidate{entry: *child, idx: i, groups: groups}, pri: best})
+		slot.active = append(slot.active, activeQuery{qi: w.qi, groups: groups})
 	}
 	w.scratch.sibParts = sibParts[:0]
-	return out
 }
 
 // verdict is the outcome of deciding one group.
@@ -580,54 +682,23 @@ const (
 	verdictExpand
 )
 
-// process drives every group of a candidate to a decision, expanding the
-// entry (one node read) for the groups that stay undecided, and returns
-// the resulting child candidates.
-func (w *worker) process(c *candidate, q *Query) ([]queued, error) {
-	var pending []*group
-	for _, g := range c.groups {
-		v, err := w.decideGroup(c, g)
-		if err != nil {
-			return nil, err
-		}
-		if v == verdictExpand {
-			pending = append(pending, g)
-			continue
-		}
-		if err := w.settle(c, g, v); err != nil {
-			return nil, err
-		}
-	}
-	if len(pending) == 0 {
-		return nil, nil
-	}
-	v, err := w.readView(c.entry.Child)
-	if err != nil {
-		return nil, err
-	}
-	children := v.AppendEntries(w.scratch.ents.alloc(v.Len()))
-	w.doneView(&v)
-	return w.buildChildren(&c.entry, children, pending, q), nil
-}
-
 // settle applies one decided group's verdict: the metrics bookkeeping,
-// result emission, and subtree collection shared by the single-query and
-// batch drivers, so their accounting is bit-identical by construction.
-func (w *worker) settle(c *candidate, g *group, v verdict) error {
+// result emission, and subtree collection.
+func (w *worker) settle(e *iurtree.Entry, g *group, v verdict) error {
 	switch v {
 	case verdictPruned:
-		if c.entry.IsObject() {
+		if e.IsObject() {
 			w.metrics.Candidates++
 		} else {
 			w.metrics.GroupPruned += int(g.count)
 		}
 	case verdictReported:
-		if c.entry.IsObject() {
+		if e.IsObject() {
 			w.metrics.Candidates++
-			w.results = append(w.results, c.entry.ObjID)
+			w.results = append(w.results, e.ObjID)
 		} else {
 			w.metrics.GroupReported += int(g.count)
-			return w.collect(&c.entry, g.cluster)
+			return w.collect(e, g.cluster)
 		}
 	}
 	return nil
@@ -639,9 +710,9 @@ func (w *worker) settle(c *candidate, g *group, v verdict) error {
 // replace a contributor node with its children (one node read each).
 // Object-level groups always reach a decision; internal groups may return
 // verdictExpand once rebounds and the refinement budget are exhausted.
-func (w *worker) decideGroup(c *candidate, g *group) (verdict, error) {
+func (w *worker) decideGroup(e *iurtree.Entry, g *group) (verdict, error) {
 	groupBudget := w.s.opt.GroupRefine
-	gSide := side{rect: c.entry.Rect, env: g.env, exact: c.entry.IsObject()}
+	gSide := side{rect: e.Rect, env: g.env, exact: e.IsObject()}
 	sc := w.scratch
 	for {
 		sc.selLo.reset(w.k)
@@ -650,15 +721,15 @@ func (w *worker) decideGroup(c *candidate, g *group) (verdict, error) {
 		knnl, knnu := sc.selLo.kth(), sc.selHi.kth()
 		if g.q.hi < knnl {
 			// Rule 1: the query can never reach any member's top-k.
-			if c.entry.IsObject() && w.trace != nil {
-				w.trace(c.entry.ObjID, knnl, knnu)
+			if e.IsObject() && w.trace != nil {
+				w.trace(e.ObjID, knnl, knnu)
 			}
 			return verdictPruned, nil
 		}
 		if g.q.lo >= knnu {
 			// Rule 2: the query ranks within every member's top-k.
-			if c.entry.IsObject() && w.trace != nil {
-				w.trace(c.entry.ObjID, knnl, knnu)
+			if e.IsObject() && w.trace != nil {
+				w.trace(e.ObjID, knnl, knnu)
 			}
 			return verdictReported, nil
 		}
@@ -670,14 +741,14 @@ func (w *worker) decideGroup(c *candidate, g *group) (verdict, error) {
 			continue
 		}
 		idx := g.cl.refinable(w.s.opt.Strategy, sc.hist, knnu)
-		if c.entry.IsObject() {
+		if e.IsObject() {
 			// Undecided object: refine its contribution list. The loop
 			// is guaranteed to decide once every contributor is a fresh
 			// object, because then knnl == knnu and the two rules are
 			// exhaustive.
 			if idx < 0 {
 				return 0, fmt.Errorf("core: undecidable object %d with exact bounds [%g, %g], query %g",
-					c.entry.ObjID, knnl, knnu, g.q.lo)
+					e.ObjID, knnl, knnu, g.q.lo)
 			}
 			if err := w.refine(gSide, &g.cl, idx); err != nil {
 				return 0, err

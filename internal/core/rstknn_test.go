@@ -54,7 +54,19 @@ func genQuery(rng *rand.Rand, vocab, maxTerms int) core.Query {
 
 func buildTree(t *testing.T, objs []iurtree.Object, clusters int, incremental bool) *iurtree.Snapshot {
 	t.Helper()
-	cfg := iurtree.Config{Store: storage.NewStore(), Incremental: incremental}
+	cfg := treeConfig(objs, clusters)
+	cfg.Incremental = incremental
+	tr, err := iurtree.Build(objs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// treeConfig is the build configuration of buildTree: a fresh in-memory
+// store, clustered into the given number of text clusters when positive.
+func treeConfig(objs []iurtree.Object, clusters int) iurtree.Config {
+	cfg := iurtree.Config{Store: storage.NewStore()}
 	if clusters > 0 {
 		docs := make([]vector.Vector, len(objs))
 		for i, o := range objs {
@@ -62,11 +74,7 @@ func buildTree(t *testing.T, objs []iurtree.Object, clusters int, incremental bo
 		}
 		cfg.Clustering = cluster.Run(docs, cluster.Config{K: clusters, Seed: 7, OutlierThreshold: 0.1})
 	}
-	tr, err := iurtree.Build(objs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	return cfg
 }
 
 func idsEqual(a, b []int32) bool {

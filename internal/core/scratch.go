@@ -27,7 +27,8 @@ type arena[T any] struct {
 	// clearOnReset zeroes recycled chunks so value types holding
 	// pointers (contributor, whose parts and entry reference other
 	// allocations; iurtree.Entry, whose envelope and cluster summaries
-	// do) do not retain a finished query's memory.
+	// do) do not retain a finished query's memory. It also guarantees
+	// that every carve starts zeroed, which the frontier slots rely on.
 	clearOnReset bool
 
 	cur   []T   // current chunk; len = high-water mark of carved space
@@ -92,7 +93,8 @@ func (a *arena[T]) reset() {
 // owned by exactly one goroutine at a time; slices carved from its arenas
 // may be *read* by other workers in later rounds (candidate expansion
 // publishes them via the round barrier) but are only ever written by the
-// owner before publication.
+// owner before publication — except a frontier slot's active and group
+// lists, which the one worker that processes the slot filters in place.
 type scratch struct {
 	// selLo/selHi are the kNN-bound selectors, reused across every
 	// pruning check so their heap storage is allocated once.
@@ -106,6 +108,12 @@ type scratch struct {
 	// it instead of holding 184-byte copies, so a carve must stay put
 	// until release: it is never reused within a query.
 	ents arena[iurtree.Entry]
+	// slots and active back the frontier: one candidate per expanded
+	// child (index-aligned with the ents carve, compacted in place) and
+	// its active-query list. Like ents they live until release, so a
+	// one-query traversal pays no per-child heap allocation for them.
+	slots  arena[candidate]
+	active arena[activeQuery]
 	// repl is the transient replacement buffer of refine(): replace()
 	// copies it into the contribution list, so it never outlives a call.
 	repl []contributor
@@ -127,6 +135,10 @@ var scratchPool = sync.Pool{New: func() any {
 	s.contribs.clearOnReset = true
 	s.ents.chunk = 256
 	s.ents.clearOnReset = true
+	s.slots.chunk = 256
+	s.slots.clearOnReset = true
+	s.active.chunk = 256
+	s.active.clearOnReset = true
 	return s
 }}
 
@@ -139,6 +151,8 @@ func (s *scratch) release() {
 	s.parts.reset()
 	s.contribs.reset()
 	s.ents.reset()
+	s.slots.reset()
+	s.active.reset()
 	clear(s.repl)
 	s.repl = s.repl[:0]
 	clear(s.sibParts)

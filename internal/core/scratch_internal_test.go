@@ -58,12 +58,18 @@ func TestArenaWarmReuseAllocFree(t *testing.T) {
 			_ = append(c, contributor{})
 			e := sc.ents.alloc(12)
 			_ = append(e, iurtree.Entry{})
+			sl := sc.slots.alloc(12)
+			_ = append(sl, candidate{})
+			a := sc.active.alloc(3)
+			_ = append(a, activeQuery{})
 		}
 	}
 	reset := func() {
 		sc.parts.reset()
 		sc.contribs.reset()
 		sc.ents.reset()
+		sc.slots.reset()
+		sc.active.reset()
 	}
 	// Warm pass makes the arenas grow their chunks once.
 	carve()
@@ -167,37 +173,32 @@ func (a *arena[T]) owns(p *T) bool {
 }
 
 // TestContributorsPointIntoEntsArena is the aliasing check behind the
-// slim contributor: after expansion (buildChildren) and refinement, every
-// contributor's entry lives in the worker's ents arena — never in a
-// transient buffer the next read reuses — and keeps its value while the
-// scratch's transient buffers are clobbered and further nodes are
-// materialized.
+// slim contributor: after expansion (the seed's buildChildren) and
+// refinement, every contributor's entry lives in the worker's ents arena
+// — never in a transient buffer the next read reuses — and keeps its
+// value while the scratch's transient buffers are clobbered and further
+// nodes are materialized.
 func TestContributorsPointIntoEntsArena(t *testing.T) {
 	tree := wbClusteredTree(t, 23)
-	s := &searcher{tree: tree, opt: Options{K: 3, Alpha: 0.5}, out: &Outcome{}, workers: 1}
+	q := Query{Loc: geom.Point{X: 50, Y: 50}, Doc: vector.New(map[vector.TermID]float64{1: 1, 4: 2})}
+	s := &searcher{tree: tree, opt: Options{Alpha: 0.5}, items: []BatchItem{{Query: q, K: 3}}}
 	w := s.newWorker()
-	defer w.close()
-	q := &Query{Loc: geom.Point{X: 50, Y: 50}, Doc: vector.New(map[vector.TermID]float64{1: 1, 4: 2})}
+	defer w.release()
 
-	root := tree.RootEntry()
-	v, err := w.readView(root.Child)
+	first, err := w.seed()
 	if err != nil {
 		t.Fatal(err)
 	}
-	children := v.AppendEntries(w.scratch.ents.alloc(v.Len()))
-	w.doneView(&v)
-	var seeds []*group
-	for _, cs := range root.Clusters {
-		seeds = append(seeds, &group{cluster: cs.Cluster})
-	}
-	first := w.buildChildren(&root, children, seeds, q)
 
 	// Refine one internal contributor of every group, so the lists mix
 	// sibling, inherited-from-seed and refined entries.
 	refined := 0
-	for _, qc := range first {
-		c := qc.c
-		for _, g := range c.groups {
+	w.begin(0)
+	for _, c := range first {
+		if !w.scratch.ents.owns(c.entry) {
+			t.Fatalf("slot entry %p is not in the ents arena", c.entry)
+		}
+		for _, g := range c.active[0].groups {
 			for i := range g.cl.contributors {
 				if g.cl.contributors[i].entry.IsObject() {
 					continue
@@ -211,6 +212,7 @@ func TestContributorsPointIntoEntsArena(t *testing.T) {
 			}
 		}
 	}
+	w.end(0)
 	if refined == 0 {
 		t.Fatal("no internal contributor to refine; the test needs a deeper tree")
 	}
@@ -220,8 +222,8 @@ func TestContributorsPointIntoEntsArena(t *testing.T) {
 		want iurtree.Entry
 	}
 	var all []snap
-	for _, qc := range first {
-		for _, g := range qc.c.groups {
+	for _, c := range first {
+		for _, g := range c.active[0].groups {
 			for _, ct := range g.cl.contributors {
 				if !w.scratch.ents.owns(ct.entry) {
 					t.Fatalf("contributor entry %p is not in the ents arena", ct.entry)
@@ -236,8 +238,8 @@ func TestContributorsPointIntoEntsArena(t *testing.T) {
 	// same scratch — and no recorded entry may change.
 	clear(w.scratch.repl[:cap(w.scratch.repl)])
 	clear(w.scratch.sibParts[:cap(w.scratch.sibParts)])
-	for _, qc := range first {
-		if _, err := w.process(qc.c, q); err != nil {
+	for i := range first {
+		if _, err := w.process(&first[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

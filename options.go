@@ -93,26 +93,15 @@ type Options struct {
 	// Workers bounds intra-query parallelism: each query's
 	// branch-and-bound frontier is processed in rounds fanned across
 	// this many goroutines (and Influence fans its per-user loop the
-	// same way). 0 defaults to runtime.GOMAXPROCS(0); 1 forces the
-	// sequential path; values above GOMAXPROCS are clamped to it, and
-	// rounds with fewer candidates than the fan-out threshold run inline,
-	// so low-core machines never pay goroutine overhead for tiny rounds.
-	// Results and QueryStats are identical at every
-	// setting — parallelism only changes wall-clock time. Queries issued
-	// through BatchQuery multiply this with the batch parallelism, so
-	// consider Workers=1 for batch-heavy serving.
+	// same way). 0 defaults to runtime.GOMAXPROCS(0); 1 runs every round
+	// on the calling goroutine; values above GOMAXPROCS are clamped to
+	// it, and rounds with fewer candidates than the fan-out threshold run
+	// inline, so low-core machines never pay goroutine overhead for tiny
+	// rounds. Results and QueryStats are identical at every setting —
+	// parallelism only changes wall-clock time. BatchQuery does not use
+	// it: its parallelism argument sizes the pool of the batch's one
+	// shared traversal instead.
 	Workers int
-	// SharedBatch controls how BatchQuery answers multi-request batches.
-	// 0 (the default) and positive values share one branch-and-bound
-	// traversal across the whole batch: each tree node is physically
-	// read at most once per batch and scored against every query still
-	// active on it, so nodes-read-per-query shrinks as the batch grows
-	// while per-query results and QueryStats counters stay bit-identical
-	// to independent execution. A negative value forces the independent
-	// per-query fan-out (the DESIGN.md §11 ablation, exposed as
-	// -sharedbatch=false in rstknn-bench). Single-request batches always
-	// run independently — there is nothing to share.
-	SharedBatch int
 	// Seed fixes clustering randomness.
 	Seed int64
 }

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rstknn/internal/baseline"
@@ -256,19 +253,16 @@ type BatchResult struct {
 // batch-level amortization numbers that per-request QueryStats cannot
 // express once one physical node read serves many queries.
 type BatchStats struct {
-	// Requests is the batch size, Shared whether the shared-traversal
-	// path answered it (see Options.SharedBatch).
+	// Requests is the batch size.
 	Requests int
-	Shared   bool
 	// Duration is the whole batch's wall time.
 	Duration time.Duration
-	// NodesRead counts physical node fetches: each distinct node once in
-	// shared mode, the sum of per-query NodesRead in independent mode —
-	// so shared-vs-ablation runs compare directly on this field.
+	// NodesRead counts physical node fetches: each distinct node once
+	// per batch, however many requests consumed it.
 	NodesRead int
 	// SharedHits counts per-query logical reads served by a node the
-	// batch had already fetched (0 in independent mode): the sum of
-	// per-query NodesRead minus the physical NodesRead above.
+	// batch had already fetched: the sum of per-query NodesRead minus
+	// the physical NodesRead above.
 	SharedHits int
 	// NodesReadPerQuery is NodesRead divided by the number of requests —
 	// the amortized I/O the shared traversal optimizes.
@@ -277,46 +271,26 @@ type BatchStats struct {
 	PageAccesses int64
 }
 
-// batchParallelism resolves the caller's parallelism request for a batch
-// of n requests: values <= 0 default to runtime.GOMAXPROCS(0) (matching
-// the single-query Workers option), and the result is clamped to n so a
-// small batch never spawns goroutines with no request to serve.
-func batchParallelism(p, n int) int {
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
 // BatchQuery answers many reverse queries against one pinned snapshot:
 // concurrent Insert/Delete/Apply calls do not affect the batch, and
 // every request sees the same index version. Results are returned in
 // request order, each with its own per-query QueryStats.
 //
-// With Options.SharedBatch enabled (the default), a multi-request batch
-// runs as ONE shared branch-and-bound traversal: each tree node is
-// physically read at most once per batch and scored against every query
-// still active on it, so I/O per query shrinks as the batch grows while
-// per-request results and QueryStats counters stay bit-identical to
-// independent execution. parallelism then bounds the traversal's worker
-// pool (values <= 0 default to runtime.GOMAXPROCS(0), values above it
-// are clamped). With SharedBatch negative — or for single-request
-// batches — requests fan out independently over a worker pool of
-// min(parallelism, len(reqs)) goroutines, with <= 0 again defaulting to
-// GOMAXPROCS.
+// The batch runs as ONE shared branch-and-bound traversal: each tree
+// node is physically read at most once per batch and scored against
+// every query still active on it, so I/O per query shrinks as the batch
+// grows while per-request results and QueryStats counters stay
+// bit-identical to answering each request with QueryCtx. parallelism
+// bounds the traversal's worker pool, exactly as Options.Workers does
+// for a single query: values <= 0 default to runtime.GOMAXPROCS(0), and
+// values above it are clamped.
 func (e *Engine) BatchQuery(reqs []QueryRequest, parallelism int) []BatchResult {
 	return e.BatchQueryCtx(context.Background(), reqs, parallelism)
 }
 
-// BatchQueryCtx is BatchQuery with cancellation: once the context is
-// done, not-yet-started requests fail fast with ctx.Err() and running
-// ones abort at their next node read.
+// BatchQueryCtx is BatchQuery with cancellation: a context that is
+// already done fails every request with ctx.Err(), and a running batch
+// aborts at its next node read.
 func (e *Engine) BatchQueryCtx(ctx context.Context, reqs []QueryRequest, parallelism int) []BatchResult {
 	out, _ := e.BatchQueryStatsCtx(ctx, reqs, parallelism)
 	return out
@@ -333,12 +307,7 @@ func (e *Engine) BatchQueryStatsCtx(ctx context.Context, reqs []QueryRequest, pa
 	st, release := e.pin()
 	defer release()
 	start := time.Now()
-	var bs BatchStats
-	if e.opt.SharedBatch >= 0 && len(reqs) > 1 {
-		bs = e.batchShared(ctx, st, reqs, parallelism, out)
-	} else {
-		bs = e.batchIndependent(ctx, st, reqs, parallelism, out)
-	}
+	bs := e.batchShared(ctx, st, reqs, parallelism, out)
 	bs.Requests = len(reqs)
 	bs.Duration = time.Since(start)
 	bs.NodesReadPerQuery = float64(bs.NodesRead) / float64(len(reqs))
@@ -350,7 +319,7 @@ func (e *Engine) BatchQueryStatsCtx(ctx context.Context, reqs []QueryRequest, pa
 // from the traversal; a traversal error (cancellation, I/O) fails every
 // participating request.
 func (e *Engine) batchShared(ctx context.Context, st *engineState, reqs []QueryRequest, parallelism int, out []BatchResult) BatchStats {
-	bs := BatchStats{Shared: true}
+	var bs BatchStats
 	if err := ctx.Err(); err != nil {
 		for i := range out {
 			out[i] = BatchResult{Err: err}
@@ -421,47 +390,6 @@ func (e *Engine) batchShared(ctx context.Context, st *engineState, reqs []QueryR
 	bs.NodesRead = mo.Batch.NodesRead
 	bs.SharedHits = mo.Batch.SharedHits
 	bs.PageAccesses = batchTracker.PagesRead()
-	return bs
-}
-
-// batchIndependent fans the requests over a worker pool, one standalone
-// query each — the pre-shared-traversal behavior, kept as the
-// SharedBatch ablation and the single-request path.
-func (e *Engine) batchIndependent(ctx context.Context, st *engineState, reqs []QueryRequest, parallelism int, out []BatchResult) BatchStats {
-	parallelism = batchParallelism(parallelism, len(reqs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					out[i] = BatchResult{Err: err}
-					continue
-				}
-				r := reqs[i]
-				if err := validateQuery(r.X, r.Y, r.K); err != nil {
-					out[i] = BatchResult{Err: err}
-					continue
-				}
-				res, err := e.queryVector(ctx, st, r.X, r.Y, e.vectorize(r.Text), r.K)
-				out[i] = BatchResult{Result: res, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
-	bs := BatchStats{}
-	for i := range out {
-		if out[i].Result != nil {
-			bs.NodesRead += out[i].Result.Stats.NodesRead
-			bs.PageAccesses += out[i].Result.Stats.PageAccesses
-		}
-	}
 	return bs
 }
 
