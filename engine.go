@@ -149,18 +149,9 @@ func Build(objects []Object, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resolved.NodeCache > 0 {
-		tree.SetNodeCache(resolved.NodeCache)
-	}
-	if resolved.BoundCache != 0 {
-		// 0 keeps the default-on cache; negative disables, positive
-		// resizes. Done before the first query so sizing never races a
-		// concurrent reader.
-		tree.SetBoundCache(resolved.BoundCache)
-	}
 	e.rec = storage.NewReclaimer(e.store)
-	// Successor snapshots share the decoded-node cache with the first
-	// one, so evicting through it covers every version.
+	// Successor snapshots share the bound cache with the first one, so
+	// evicting through it covers every version.
 	e.rec.SetOnFree(tree.InvalidateNode)
 	e.state.Store(&engineState{tree: tree, objects: objs, byID: byID})
 	e.build = time.Since(start)
@@ -199,16 +190,17 @@ type IndexStats struct {
 	// pinned readers to finish.
 	PendingReclaim int
 	// BoundCacheHits/Misses/Entries describe the textual bound cache of
-	// the zero-copy read path (see Options.BoundCache). Hits re-decode
-	// nothing but still pay full simulated I/O, so they appear nowhere
-	// in the I/O counters.
+	// the zero-copy read path, which holds the decoded text of up to
+	// iurtree.DefaultBoundCacheNodes nodes. Hits re-decode nothing but
+	// still pay full simulated I/O, so they appear nowhere in the I/O
+	// counters.
 	BoundCacheHits    int64
 	BoundCacheMisses  int64
 	BoundCacheEntries int
 	// BufferPoolHits/Misses split the engine-wide node reads by whether
-	// the buffer pool (or decoded-node cache) served them: misses paid
-	// simulated page I/O, hits did not. Both are zero-history counters
-	// since Build (or ResetIOStats).
+	// the buffer pool served them: misses paid simulated page I/O, hits
+	// did not. Both are zero-history counters since Build (or
+	// ResetIOStats).
 	BufferPoolHits   int64
 	BufferPoolMisses int64
 	Clusters         int // 0 for IUR

@@ -8,7 +8,7 @@
 // numbering and phi-merging (ssa.go), and eleven domain analyzers that
 // enforce invariants the compiler cannot:
 //
-//   - trackedio: no raw Store.Get / Tree.ReadNode in library code — query
+//   - trackedio: no raw Store.Get / Snapshot.ReadNode in library code — query
 //     and traversal paths must use the *Tracked variants so per-query I/O
 //     attribution (the paper's cost metric) is never silently dropped.
 //   - ctxflow: context.Context parameters come first, exported *Ctx entry

@@ -7,7 +7,7 @@ import (
 )
 
 // LockSafe guards the concurrency invariants of the sharded buffer pool
-// and decoded-node cache:
+// and bound cache:
 //
 //  1. Structs that embed a lock (sync.Mutex/RWMutex/..., sync/atomic
 //     value types) are never copied — not as by-value parameters or
@@ -17,7 +17,7 @@ import (
 //     variants) runs between a Lock/RLock and its release in the same
 //     block, or after a defer'd Unlock. Holding a shard lock across a
 //     (simulated) disk read serializes every concurrent reader of that
-//     shard — the exact contention PR 1's sharding removed.
+//     shard — the exact contention the sharding removed.
 var LockSafe = &Analyzer{
 	Name: "locksafe",
 	Doc: "forbids copying mutex-bearing structs and holding locks across " +

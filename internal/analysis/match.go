@@ -36,8 +36,12 @@ func methodCall(info *types.Info, call *ast.CallExpr) (*types.Named, string, boo
 // storeTypeNames are the named types acting as blob stores.
 var storeTypeNames = map[string]bool{"Store": true, "FileStore": true, "Blobs": true}
 
+// treeTypeNames are the named types whose ReadNode methods read tree
+// nodes: iurtree.Snapshot in the engine, Tree in the fixtures.
+var treeTypeNames = map[string]bool{"Snapshot": true, "Tree": true}
+
 // rawReadCall reports whether call is an untracked simulated-I/O read:
-// Tree.ReadNode or a Get on a store type. These drop per-query I/O
+// ReadNode on a tree type or a Get on a store type. These drop per-query I/O
 // attribution and are what the trackedio analyzer flags.
 func rawReadCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	named, method, ok := methodCall(info, call)
@@ -46,7 +50,7 @@ func rawReadCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	}
 	name := named.Obj().Name()
 	switch {
-	case method == "ReadNode" && name == "Tree":
+	case method == "ReadNode" && treeTypeNames[name]:
 		return name + ".ReadNode", true
 	case method == "Get" && storeTypeNames[name]:
 		return name + ".Get", true
@@ -67,7 +71,7 @@ func ioReadCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	}
 	name := named.Obj().Name()
 	switch {
-	case method == "ReadNodeTracked" && name == "Tree":
+	case method == "ReadNodeTracked" && treeTypeNames[name]:
 		return name + ".ReadNodeTracked", true
 	case method == "GetTracked" && storeTypeNames[name]:
 		return name + ".GetTracked", true

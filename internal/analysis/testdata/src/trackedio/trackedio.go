@@ -18,6 +18,18 @@ type Tree struct{ store *Store }
 func (t *Tree) ReadNode(id NodeID) (*Node, error)                     { return nil, nil }
 func (t *Tree) ReadNodeTracked(id NodeID, tr *Tracker) (*Node, error) { return nil, nil }
 
+// Snapshot is the engine's real tree type (iurtree.Snapshot): its node
+// reads are classified exactly like Tree's.
+type Snapshot struct{ store *Store }
+
+func (t *Snapshot) ReadNode(id NodeID) (*Node, error)                     { return nil, nil }
+func (t *Snapshot) ReadNodeTracked(id NodeID, tr *Tracker) (*Node, error) { return nil, nil }
+
+func walkSnapshot(t *Snapshot, tr *Tracker) {
+	t.ReadNode(0)            // want `untracked Snapshot\.ReadNode`
+	t.ReadNodeTracked(0, tr) // tracked: clean
+}
+
 // Other types with colliding method names are not storage reads.
 type Registry struct{}
 

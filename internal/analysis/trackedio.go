@@ -6,10 +6,10 @@ import (
 
 // TrackedIO flags untracked simulated-I/O reads in library code.
 //
-// PR 1 threaded a per-query storage.Tracker through every query path so
-// the paper's cost experiments (node accesses of the branch-and-bound
-// RSTkNN search) attribute each page access to the query that caused it.
-// A raw Tree.ReadNode or Store.Get silently charges only the global
+// Every query path threads a per-query storage.Tracker so the paper's
+// cost experiments (node accesses of the branch-and-bound RSTkNN search)
+// attribute each page access to the query that caused it. A raw
+// Snapshot.ReadNode or Store.Get silently charges only the global
 // counters, corrupting per-query statistics under concurrency. Traversals
 // must call the *Tracked variants; genuine non-query paths (index
 // loading, maintenance copies) opt out with
@@ -17,7 +17,7 @@ import (
 //	//rstknn:allow trackedio <reason>
 var TrackedIO = &Analyzer{
 	Name: "trackedio",
-	Doc: "forbids raw Tree.ReadNode / Store.Get in favor of the *Tracked " +
+	Doc: "forbids raw Snapshot.ReadNode / Store.Get in favor of the *Tracked " +
 		"variants that preserve per-query I/O attribution",
 	Run: runTrackedIO,
 }

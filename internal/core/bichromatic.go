@@ -43,6 +43,7 @@ func CountExceeding(t *iurtree.Snapshot, q Query, threshold float64, limit int, 
 	if b := sc.queryBounds(sideOf(&root), &q); b.hi > threshold {
 		frontier.Push(root, b.hi)
 	}
+	var offs []int32
 	count := 0
 	for !frontier.Empty() && count < limit {
 		e, _ := frontier.Pop()
@@ -55,17 +56,18 @@ func CountExceeding(t *iurtree.Snapshot, q Query, threshold float64, limit int, 
 		if err := checkCtx(opt.Ctx); err != nil {
 			return 0, m, err
 		}
-		node, err := t.ReadNodeTracked(e.Child, opt.Tracker)
+		v, err := t.ReadViewTracked(e.Child, opt.Tracker, offs)
 		if err != nil {
 			return 0, m, err
 		}
 		m.NodesRead++
-		for i := range node.Entries {
-			child := &node.Entries[i]
-			if b := sc.queryBounds(sideOf(child), &q); b.hi > threshold {
-				frontier.Push(*child, b.hi)
+		for i, n := 0, v.Len(); i < n; i++ {
+			child := v.Entry(i)
+			if b := sc.queryBounds(sideOf(&child), &q); b.hi > threshold {
+				frontier.Push(child, b.hi)
 			}
 		}
+		offs = v.RecycleBuf()
 	}
 	m.ExactSims = sc.ExactCount
 	m.BoundEvals = sc.BoundCount

@@ -144,6 +144,55 @@ func (l *readLog) fetches() (total, distinct int) {
 	return total, len(l.reads)
 }
 
+// checkViewReaderIO pins the I/O attribution of TopK and CountExceeding,
+// which read through zero-copy views: each call charges its tracker once
+// per logical node read, matching Metrics.NodesRead and the store's
+// fetch count, and a repeated identical TopK decodes nothing — every one
+// of its node reads is a bound-cache hit, while still paying the fetch.
+func checkViewReaderIO(t *testing.T, tree *iurtree.Snapshot, log *readLog, q core.Query, k int, tag string) {
+	t.Helper()
+	topk := func() ([]core.Neighbor, core.Metrics) {
+		log.reset()
+		var tr storage.Tracker
+		nbs, m, err := core.TopK(tree, q, core.TopKOptions{K: k, Alpha: 0.5, Exclude: -1, Tracker: &tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fetched, _ := log.fetches(); tr.Reads() != int64(m.NodesRead) || fetched != m.NodesRead {
+			t.Errorf("%s: TopK tracker reads %d, store fetches %d, want NodesRead %d",
+				tag, tr.Reads(), fetched, m.NodesRead)
+		}
+		return nbs, m
+	}
+	first, m1 := topk()
+	hits := tree.BoundCacheStats().Hits
+	again, m2 := topk()
+	if m2 != m1 || len(again) != len(first) {
+		t.Fatalf("%s: repeated TopK differs: %v %+v vs %v %+v", tag, again, m2, first, m1)
+	}
+	for i := range first {
+		if again[i] != first[i] {
+			t.Fatalf("%s: repeated TopK differs at %d: %v vs %v", tag, i, again[i], first[i])
+		}
+	}
+	if got := tree.BoundCacheStats().Hits - hits; got != int64(m2.NodesRead) {
+		t.Errorf("%s: repeated TopK added %d bound-cache hits, want NodesRead %d", tag, got, m2.NodesRead)
+	}
+
+	// Count the objects beating half the k-th similarity, capped above k.
+	threshold := first[len(first)-1].Sim / 2
+	log.reset()
+	var tr storage.Tracker
+	_, m, err := core.CountExceeding(tree, q, threshold, 2*k, core.BichromaticOptions{Alpha: 0.5, Tracker: &tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fetched, _ := log.fetches(); m.NodesRead == 0 || tr.Reads() != int64(m.NodesRead) || fetched != m.NodesRead {
+		t.Errorf("%s: CountExceeding tracker reads %d, store fetches %d, want NodesRead %d > 0",
+			tag, tr.Reads(), fetched, m.NodesRead)
+	}
+}
+
 // TestTrackerIOAttribution pins who pays for each read on a store
 // without a buffer pool. A standalone RSTkNN charges its tracker once per
 // logical node read: Tracker.Reads() equals Metrics.NodesRead and the
@@ -222,6 +271,7 @@ func TestTrackerIOAttribution(t *testing.T) {
 					deduped = true
 				}
 			}
+			checkViewReaderIO(t, tree, log, q, k, fmt.Sprintf("clusters=%d trial=%d k=%d", clusters, trial, k))
 		}
 		if !deduped {
 			t.Errorf("clusters=%d: no query re-read a node, so the distinct-node charge went untested", clusters)

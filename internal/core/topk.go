@@ -57,6 +57,9 @@ func TopK(t *iurtree.Snapshot, q Query, opt TopKOptions) ([]Neighbor, Metrics, e
 	frontier := pq.NewMax[iurtree.Entry]()
 	root := t.RootEntry()
 	frontier.Push(root, sc.queryBounds(sideOf(&root), &q).hi)
+	// Entry copies stay valid in the frontier after their view is
+	// recycled: Env and Clusters point at bound-cache text, not the blob.
+	var offs []int32
 
 	for !frontier.Empty() {
 		e, hi := frontier.Pop()
@@ -73,19 +76,20 @@ func TopK(t *iurtree.Snapshot, q Query, opt TopKOptions) ([]Neighbor, Metrics, e
 		if err := checkCtx(opt.Ctx); err != nil {
 			return nil, m, err
 		}
-		node, err := t.ReadNodeTracked(e.Child, opt.Tracker)
+		v, err := t.ReadViewTracked(e.Child, opt.Tracker, offs)
 		if err != nil {
 			return nil, m, err
 		}
 		m.NodesRead++
-		for i := range node.Entries {
-			child := &node.Entries[i]
-			b := sc.queryBounds(sideOf(child), &q)
+		for i, n := 0, v.Len(); i < n; i++ {
+			child := v.Entry(i)
+			b := sc.queryBounds(sideOf(&child), &q)
 			if top.Full() && b.hi < top.Threshold() {
 				continue
 			}
-			frontier.Push(*child, b.hi)
+			frontier.Push(child, b.hi)
 		}
+		offs = v.RecycleBuf()
 	}
 	vs, _ := top.Drain()
 	sort.Slice(vs, func(i, j int) bool {

@@ -23,11 +23,11 @@ import (
 // node, so eviction can never race a live view: a pinned snapshot keeps
 // both the blob and its cached decode alive until unpin.
 //
-// Unlike the decoded-node cache (nodecache.go), a bound-cache hit does
-// NOT skip the simulated page I/O: ReadViewTracked still fetches the
-// blob and charges the read, so nodes-read and page-access accounting —
-// the paper's cost model — are bit-identical with the cache on or off.
-// Only the CPU and allocations of re-decoding are saved.
+// A bound-cache hit does NOT skip the simulated page I/O:
+// ReadViewTracked still fetches the blob and charges the read, so
+// nodes-read and page-access accounting — the paper's cost model — are
+// bit-identical with the cache on or off. Only the CPU and allocations
+// of re-decoding are saved.
 //
 // The cache is shared by every snapshot derived from the one that
 // created it (derive() copies the pointer), so BatchQuery hits across
@@ -52,30 +52,24 @@ type entryText struct {
 	Clusters []ClusterSummary
 }
 
-// newNodeText extracts the textual payload of a decoded node. The
-// envelopes and cluster slices are shared with the node, not copied —
-// both sides treat them as immutable.
-func newNodeText(n *Node) *nodeText {
-	ts := make([]entryText, len(n.Entries))
-	for i := range n.Entries {
-		ts[i] = entryText{Env: n.Entries[i].Env, Clusters: n.Entries[i].Clusters}
-	}
-	return &nodeText{entries: ts}
-}
-
 // decodeNodeText fully decodes a blob (with decodeNode's complete
 // validation, including the semantic vector checks parseNodeView skips)
-// and returns its textual payload.
+// and returns its textual payload. The envelopes and cluster slices are
+// taken from the throwaway decode, not copied.
 func decodeNodeText(blob []byte) (*nodeText, error) {
 	n, err := decodeNode(blob)
 	if err != nil {
 		return nil, err
 	}
-	return newNodeText(n), nil
+	ts := make([]entryText, len(n.Entries))
+	for i := range n.Entries {
+		ts[i] = entryText{Env: n.Entries[i].Env, Clusters: n.Entries[i].Clusters}
+	}
+	return &nodeText{entries: ts}, nil
 }
 
-// boundCache memoizes nodeText by NodeID. Sharded like the decoded-node
-// cache so concurrent queries do not serialize on one mutex; the hit
+// boundCache memoizes nodeText by NodeID. Sharded like the buffer pool
+// so concurrent queries do not serialize on one mutex; the hit
 // path takes only a read lock and one atomic store (the second-chance
 // bit), keeping it provably allocation-free.
 type boundCache struct {

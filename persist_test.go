@@ -1,6 +1,7 @@
 package rstknn
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -177,5 +178,83 @@ func TestSaveTwiceIsStable(t *testing.T) {
 	b, _ := r2.Query(10, 10, "sushi", 3)
 	if fmt.Sprint(a.IDs) != fmt.Sprint(b.IDs) {
 		t.Error("two saves of the same engine disagree")
+	}
+}
+
+// TestOpenIgnoresRetiredCacheOptions opens an index whose meta.json
+// still carries the two removed cache-size options, as indexes saved by
+// earlier versions do (testdata/legacy/cache_options.json holds them):
+// the keys are ignored — the bound cache stays on at its default size —
+// and queries match a fresh save.
+func TestOpenIgnoresRetiredCacheOptions(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	eng, err := Build(genRestaurants(rng, 200), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(t.TempDir(), "fresh")
+	legacy := filepath.Join(t.TempDir(), "legacy")
+	for _, dir := range []string{fresh, legacy} {
+		if err := eng.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metaPath := filepath.Join(legacy, "meta.json")
+	buf, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(buf, &meta); err != nil {
+		t.Fatal(err)
+	}
+	legacyOpts, err := os.ReadFile(filepath.Join("testdata", "legacy", "cache_options.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := meta["options"].(map[string]any)
+	before := len(opts)
+	if err := json.Unmarshal(legacyOpts, &opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(opts) != before+2 {
+		t.Fatalf("legacy options added %d keys to a fresh meta.json, want 2 unknown ones", len(opts)-before)
+	}
+	if buf, err = json.MarshalIndent(meta, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(metaPath, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rf, err := Open(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Close()
+	rl, err := Open(legacy)
+	if err != nil {
+		t.Fatalf("index with retired cache options: %v", err)
+	}
+	defer rl.Close()
+	for trial := 0; trial < 5; trial++ {
+		x, y := rng.Float64()*100, rng.Float64()*100
+		text := menuTerms[rng.Intn(len(menuTerms))] + " " + menuTerms[rng.Intn(len(menuTerms))]
+		k := 1 + rng.Intn(6)
+		a, err := rf.Query(x, y, text, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := rl.Query(x, y, text, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(a.IDs) != fmt.Sprint(b.IDs) || a.Stats.NodesRead != b.Stats.NodesRead {
+			t.Fatalf("legacy meta.json disagrees: %v (%d reads) vs fresh %v (%d reads)",
+				b.IDs, b.Stats.NodesRead, a.IDs, a.Stats.NodesRead)
+		}
+	}
+	if st := rl.Stats(); st.BoundCacheEntries == 0 {
+		t.Error("a negative legacy bound-cache size disabled the bound cache; the key should be ignored")
 	}
 }

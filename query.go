@@ -51,7 +51,7 @@ type QueryStats struct {
 }
 
 // CacheHitRatio returns the fraction of this query's node reads that
-// paid no simulated page I/O — buffer-pool/node-cache hits plus
+// paid no simulated page I/O — buffer-pool hits plus
 // batch-shared reads over all reads — or 0 when the query read nothing.
 func (s QueryStats) CacheHitRatio() float64 {
 	if s.NodesRead == 0 {
