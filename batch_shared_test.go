@@ -15,10 +15,11 @@ import (
 // shared-traversal batch execution against its ablation — every request
 // answered alone through QueryCtx on the same engine. The batch must
 // return identical per-request IDs and identical per-request logical
-// counters, while BatchStats show no more physical node reads than the
-// standalone queries paid in total, and strictly fewer once two or more
-// requests share the traversal. The single-request batch is a case of
-// its own: it too runs the shared traversal.
+// counters, while BatchStats show no more physical node reads and
+// similarity computations than the standalone queries paid in total, and
+// strictly fewer reads once two or more requests share the traversal.
+// The single-request batch is a case of its own: it too runs the shared
+// traversal, and its physical similarity work is exactly its request's.
 func TestBatchSharedMatchesAblation(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	objs := genRestaurants(rng, 900)
@@ -48,6 +49,7 @@ func TestBatchSharedMatchesAblation(t *testing.T) {
 				for _, parallelism := range []int{1, 4} {
 					sRes, sStats := eng.BatchQueryStatsCtx(ctx, reqs[:n], parallelism)
 					logical := 0
+					var logicalExact, logicalBound int64
 					for i := range reqs[:n] {
 						tag := fmt.Sprintf("batch=%d parallelism=%d request=%d", n, parallelism, i)
 						if sRes[i].Err != nil {
@@ -60,7 +62,7 @@ func TestBatchSharedMatchesAblation(t *testing.T) {
 						if ss.NodesRead != is.NodesRead || ss.ExactSims != is.ExactSims ||
 							ss.BoundEvals != is.BoundEvals || ss.GroupPruned != is.GroupPruned ||
 							ss.GroupReported != is.GroupReported || ss.Candidates != is.Candidates ||
-							ss.Refinements != is.Refinements {
+							ss.Refinements != is.Refinements || ss.Rebounds != is.Rebounds {
 							t.Errorf("%s: logical counters drifted:\nshared     %+v\nstandalone %+v", tag, ss, is)
 						}
 						if ss.SharedReads != int64(ss.NodesRead) {
@@ -76,6 +78,16 @@ func TestBatchSharedMatchesAblation(t *testing.T) {
 							t.Errorf("%s: standalone query recorded %d shared reads", tag, is.SharedReads)
 						}
 						logical += ss.NodesRead
+						logicalExact += ss.ExactSims
+						logicalBound += ss.BoundEvals
+					}
+					// The physical similarity work: a one-request batch
+					// does exactly its request's, a shared batch no more
+					// than the requests' sum.
+					if sStats.ExactSims > logicalExact || sStats.BoundEvals > logicalBound ||
+						(n == 1 && (sStats.ExactSims != logicalExact || sStats.BoundEvals != logicalBound)) {
+						t.Errorf("batch=%d parallelism=%d: physical work (%d exact, %d bounds) vs per-request sums (%d, %d)",
+							n, parallelism, sStats.ExactSims, sStats.BoundEvals, logicalExact, logicalBound)
 					}
 					if sStats.NodesRead > indepReads || (n > 1 && sStats.NodesRead == indepReads) {
 						t.Errorf("batch=%d parallelism=%d: shared physical reads %d not below standalone %d",

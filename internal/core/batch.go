@@ -15,19 +15,21 @@ import (
 // and on clustered workloads the frontiers overlap far below that. The
 // traversal driver (search, in rstknn.go) therefore runs ONE
 // branch-and-bound traversal for the whole batch. Each frontier slot is
-// a tree entry together with its *active-query set* — the queries that
-// still have undecided groups below that entry. Each query's membership
-// is pruned independently, via its own groups, contribution lists and
-// kthSelector checks, so queries drop out of a subtree exactly when a
-// standalone run would have pruned or reported it. Per-query Results,
-// Metrics, and kNN bounds are therefore bit-identical to N RSTkNN calls
-// — only the physical I/O is amortized. RSTkNN itself is the N = 1 case,
-// run without the node table below.
+// a tree entry together with its *shared groups*: one per (cluster, k)
+// that still has undecided queries below the entry. A group's
+// contribution list, and the (kNNL, kNNU) it yields, never depend on a
+// query — only the Rule 1/2 test does — so the list is built, rebounded
+// and refined once, and each step tests every pending query against the
+// same bounds. A query leaves a group exactly when a standalone run
+// would have pruned or reported it, and is charged the group's work up
+// to that point, so per-query Results, Metrics, and kNN bounds are
+// bit-identical to N RSTkNN calls — only the work is shared. RSTkNN
+// itself is the N = 1 case, run without the node table below.
 //
 // Determinism contract: workers split the frontier by node, never by
-// query, and every verdict depends only on the (query, group)'s own
-// contribution list, so results and per-query Metrics are identical at
-// every worker count, and Workers:1 is bit-for-bit deterministic.
+// query, and every verdict depends only on its group's own contribution
+// list, so results and per-query Metrics are identical at every worker
+// count, and Workers:1 is bit-for-bit deterministic.
 //
 // Tracker attribution rule: MultiRSTkNN fetches each node page (and
 // parses its NodeView) at most once per batch, through a once-per-node
@@ -67,6 +69,12 @@ type BatchMetrics struct {
 	// batch had already fetched: the sum of per-query
 	// Metrics.NodesRead minus NodesRead.
 	SharedHits int
+	// ExactSims and BoundEvals count the similarity computations the
+	// batch physically performed. Shared groups do each bound step once
+	// for all their queries, so these are at most the sums of the
+	// per-query counters, and below them once queries share a group.
+	ExactSims  int64
+	BoundEvals int64
 }
 
 // MultiOutcome is the result of one shared-traversal batch: one Outcome
@@ -132,11 +140,11 @@ func (b *batchTable) load(id storage.NodeID) (iurtree.NodeView, error) {
 // worker count.
 func MultiRSTkNN(t *iurtree.Snapshot, items []BatchItem, opt Options) (*MultiOutcome, error) {
 	table := newBatchTable(t, opt.Tracker)
-	outs, err := search(t, items, opt, table)
+	outs, bm, err := search(t, items, opt, table)
 	if err != nil {
 		return nil, err
 	}
-	mo := &MultiOutcome{Outcomes: outs}
+	mo := &MultiOutcome{Outcomes: outs, Batch: bm}
 	logical := 0
 	for _, o := range outs {
 		logical += o.Metrics.NodesRead

@@ -154,17 +154,36 @@ type Outcome struct {
 }
 
 // group is one decision unit: the objects of one text cluster below the
-// candidate's entry (or all of them, cluster = -1, on unclustered trees).
+// candidate's entry (or all of them, cluster = -1, on unclustered trees),
+// together with every query of rank cutoff k still undecided on them.
 // Scoping decisions to (entry, cluster) is what makes the CIUR-tree
 // effective: the candidate-side textual envelope is the cluster's, not
 // the node's mixture, so both the query bounds and the kNN bounds
 // tighten dramatically for textually clustered data.
+//
+// The contribution list and the (kNNL, kNNU) it yields are properties of
+// the data and of k, never of a query: only the Rule 1/2 test compares
+// them with a query's interval. So one list serves all the group's
+// queries, and every rebound and refinement is done once for all of
+// them (DESIGN.md §11). spent tallies that shared work since the group
+// was created; each query is charged the whole tally when it settles or
+// when the group expands, which is exactly the work a standalone run
+// would have done on the same list up to that point.
 type group struct {
 	cluster int32
-	env     vector.Envelope
 	count   int32
-	q       interval
+	k       int
+	env     vector.Envelope
 	cl      contributionList
+	queries []groupQuery
+	spent   Metrics
+}
+
+// groupQuery is one query pending on a group: its index among the
+// searcher's items and its similarity interval to the group's objects.
+type groupQuery struct {
+	qi int
+	q  interval
 }
 
 // RSTkNN answers the reverse spatial-textual k nearest neighbor query on
@@ -177,7 +196,7 @@ type group struct {
 // batch.go), run without a batch node table: every node read goes
 // straight to the store and is charged to opt.Tracker.
 func RSTkNN(t *iurtree.Snapshot, q Query, opt Options) (*Outcome, error) {
-	outs, err := search(t, []BatchItem{{Query: q, K: opt.K, BoundTrace: opt.BoundTrace}}, opt, nil)
+	outs, _, err := search(t, []BatchItem{{Query: q, K: opt.K, BoundTrace: opt.BoundTrace}}, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -197,25 +216,28 @@ type searcher struct {
 // search is the one traversal driver behind RSTkNN and MultiRSTkNN: it
 // validates the inputs, seeds the shared frontier, drains it in rounds,
 // and merges every worker's per-query lanes into one Outcome per item,
-// in item order, with Results sorted ascending.
-func search(t *iurtree.Snapshot, items []BatchItem, opt Options, table *batchTable) ([]*Outcome, error) {
+// in item order, with Results sorted ascending. The returned
+// BatchMetrics carry the similarity work the workers physically did;
+// the caller fills in the node-table counters.
+func search(t *iurtree.Snapshot, items []BatchItem, opt Options, table *batchTable) ([]*Outcome, BatchMetrics, error) {
+	var bm BatchMetrics
 	for i := range items {
 		if items[i].K <= 0 {
-			return nil, fmt.Errorf("core: item %d: K must be positive, got %d", i, items[i].K)
+			return nil, bm, fmt.Errorf("core: item %d: K must be positive, got %d", i, items[i].K)
 		}
 	}
 	if opt.Alpha < 0 || opt.Alpha > 1 {
-		return nil, fmt.Errorf("core: Alpha must be in [0,1], got %g", opt.Alpha)
+		return nil, bm, fmt.Errorf("core: Alpha must be in [0,1], got %g", opt.Alpha)
 	}
 	if err := checkCtx(opt.Ctx); err != nil {
-		return nil, err
+		return nil, bm, err
 	}
 	outs := make([]*Outcome, len(items))
 	for i := range outs {
 		outs[i] = &Outcome{}
 	}
 	if len(items) == 0 || t.Len() == 0 {
-		return outs, nil
+		return outs, bm, nil
 	}
 
 	s := &searcher{tree: t, opt: opt, items: items, table: table}
@@ -234,10 +256,10 @@ func search(t *iurtree.Snapshot, items []BatchItem, opt Options, table *batchTab
 
 	frontier, err := ws[0].seed()
 	if err != nil {
-		return nil, err
+		return nil, bm, err
 	}
 	if err := runBatchRounds(ws, frontier); err != nil {
-		return nil, err
+		return nil, bm, err
 	}
 
 	for _, w := range ws {
@@ -245,31 +267,25 @@ func search(t *iurtree.Snapshot, items []BatchItem, opt Options, table *batchTab
 			o.Metrics.add(&w.lanes[qi].metrics)
 			o.Results = append(o.Results, w.lanes[qi].results...)
 		}
+		bm.ExactSims += w.scorer.ExactCount
+		bm.BoundEvals += w.scorer.BoundCount
 	}
 	for _, o := range outs {
 		sort.Slice(o.Results, func(i, j int) bool { return o.Results[i] < o.Results[j] })
 	}
-	return outs, nil
+	return outs, bm, nil
 }
 
-// activeQuery is one query's stake in a frontier slot: its index among
-// the searcher's items plus its still-undecided groups below the slot's
-// entry.
-type activeQuery struct {
-	qi     int
-	groups []*group
-}
-
-// candidate is one frontier slot: a tree entry plus the queries still
-// active on it, in ascending query order for determinism. Keeping every
-// query's groups of one entry together means expansion reads the node
-// exactly once no matter how many queries and clusters remain undecided.
-// The entry points into the ents carve of the expansion that produced
-// it; the slot itself and its active list are carved from the scratch
-// arenas of the worker that built them.
+// candidate is one frontier slot: a tree entry plus its groups that
+// still have undecided queries. Keeping every group of one entry
+// together means expansion reads the node exactly once no matter how
+// many queries, clusters and rank cutoffs remain undecided. The entry
+// points into the ents carve of the expansion that produced it; the
+// slot, its group list and the group records are carved from the
+// scratch arenas of the worker that built them.
 type candidate struct {
 	entry  *iurtree.Entry
-	active []activeQuery
+	groups []*group
 }
 
 // lane is one worker's private accumulator for one query. Totals are
@@ -290,21 +306,10 @@ type worker struct {
 	scorer  Scorer
 	scratch *scratch
 	lanes   []lane
-
-	// Active-query state. Before any per-query work (deciding groups,
-	// charging a read, building children) begin retargets these fields at
-	// that query and end parks the accumulators back in its lane, so the
-	// decision machinery below never consults Options.K or BoundTrace.
-	qi      int
-	q       *Query
-	k       int
-	trace   func(objID int32, knnl, knnu float64)
-	qtr     *storage.Tracker
-	metrics Metrics
-	results []int32
-	// e0/b0 snapshot the scorer counters at begin so end can attribute
-	// the delta to the active query's lane.
-	e0, b0 int64
+	// seen de-duplicates the queries of one expansion across its groups:
+	// seen[qi] == stamp once query qi has been charged the node read.
+	seen  []uint32
+	stamp uint32
 }
 
 // newWorker prepares one worker for the searcher.
@@ -316,39 +321,8 @@ func (s *searcher) newWorker() *worker {
 		scorer:  *NewScorer(s.opt.Alpha, s.tree.MaxD(), s.opt.Sim),
 		scratch: sc,
 		lanes:   make([]lane, len(s.items)),
+		seen:    make([]uint32, len(s.items)),
 	}
-}
-
-// begin retargets the worker at query qi's lane.
-//
-//rstknn:hotpath per-query lane switch in the traversal inner loop
-func (w *worker) begin(qi int) {
-	it := &w.s.items[qi]
-	w.qi = qi
-	w.q = &it.Query
-	w.k = it.K
-	w.trace = it.BoundTrace
-	w.qtr = it.Tracker
-	ln := &w.lanes[qi]
-	w.metrics = ln.metrics
-	w.results = ln.results
-	w.e0 = w.scorer.ExactCount
-	w.b0 = w.scorer.BoundCount
-}
-
-// end parks the worker's accumulators back into query qi's lane,
-// folding the scorer-counter delta since begin into the lane's
-// similarity tallies.
-//
-//rstknn:hotpath per-query lane switch in the traversal inner loop
-func (w *worker) end(qi int) {
-	ln := &w.lanes[qi]
-	ln.metrics = w.metrics
-	ln.metrics.ExactSims += w.scorer.ExactCount - w.e0
-	ln.metrics.BoundEvals += w.scorer.BoundCount - w.b0
-	w.e0 = w.scorer.ExactCount
-	w.b0 = w.scorer.BoundCount
-	ln.results = w.results
 }
 
 // release recycles the worker's scratch. Call only after the frontier is
@@ -359,40 +333,60 @@ func (w *worker) release() {
 	w.scratch = nil
 }
 
-// readView fetches a node through the zero-copy view path: same
-// simulated I/O and cancellation semantics as an eager read, but no
-// *Node materialization — fixed entry fields come straight from the page
-// bytes and the textual payload from the snapshot's bound cache. Pair
+// simMark is a snapshot of the worker's scorer counters.
+type simMark struct{ exact, bound int64 }
+
+func (w *worker) mark() simMark {
+	return simMark{w.scorer.ExactCount, w.scorer.BoundCount}
+}
+
+// chargeSince adds the similarity work done since mk to m.
+//
+//rstknn:hotpath one call per shared bound step
+func (w *worker) chargeSince(mk simMark, m *Metrics) {
+	m.ExactSims += w.scorer.ExactCount - mk.exact
+	m.BoundEvals += w.scorer.BoundCount - mk.bound
+}
+
+// fold charges work m, done once on behalf of several queries, to query
+// qi's lane, so the query's Metrics read as if it had done m alone.
+// Under a batch table each of m's logical node reads is also one shared
+// read on the query's own tracker.
+//
+//rstknn:hotpath one call per settled query and per expansion
+func (w *worker) fold(qi int, m *Metrics) {
+	w.lanes[qi].metrics.add(m)
+	if w.s.table == nil {
+		return
+	}
+	tr := w.s.items[qi].Tracker
+	for i := 0; i < m.NodesRead; i++ {
+		tr.ChargeSharedRead()
+	}
+}
+
+// fetch reads a node through the zero-copy view path: same simulated I/O
+// and cancellation semantics as an eager read, but no *Node
+// materialization — fixed entry fields come straight from the page bytes
+// and the textual payload from the snapshot's bound cache. Under a batch
+// table the node is fetched at most once per batch (charging the
+// physical I/O to the batch tracker); otherwise the one query's read
+// goes to the store and opt.Tracker. fetch charges no logical read: the
+// caller folds one NodesRead into every query the read serves. Pair
 // every successful read with doneView to recycle the offset buffer.
-func (w *worker) readView(id storage.NodeID) (iurtree.NodeView, error) {
+func (w *worker) fetch(id storage.NodeID) (iurtree.NodeView, error) {
 	if err := checkCtx(w.s.opt.Ctx); err != nil {
 		return iurtree.NodeView{}, err
 	}
 	if w.s.table != nil {
-		// Shared-traversal batch: the table fetches each node at most
-		// once per batch (charging the physical I/O to the batch
-		// tracker); this query records the logical read — NodesRead stays
-		// bit-identical to an independent run — plus one shared-read
-		// attribution on its own tracker.
-		v, err := w.s.table.load(id)
-		if err != nil {
-			return iurtree.NodeView{}, err
-		}
-		w.qtr.ChargeSharedRead()
-		w.metrics.NodesRead++
-		return v, nil
+		return w.s.table.load(id)
 	}
-	v, err := w.s.tree.ReadViewTracked(id, w.s.opt.Tracker, w.scratch.getViewBuf())
-	if err != nil {
-		return iurtree.NodeView{}, err
-	}
-	w.metrics.NodesRead++
-	return v, nil
+	return w.s.tree.ReadViewTracked(id, w.s.opt.Tracker, w.scratch.getViewBuf())
 }
 
 // doneView recycles a view's offset buffer once no accessor will be
 // called on it again. Batch-table views keep their buffers — the table
-// owns them for the lifetime of the batch, and other queries may still
+// owns them for the lifetime of the batch, and other workers may still
 // read through the same view.
 func (w *worker) doneView(v *iurtree.NodeView) {
 	if w.s.table != nil {
@@ -401,42 +395,63 @@ func (w *worker) doneView(v *iurtree.NodeView) {
 	w.scratch.putViewBuf(v.RecycleBuf())
 }
 
-// seed builds the first frontier: the root's children, every cluster
-// group of every query undecided, each child contributing to the others.
-// The pseudo parent groups carry empty contribution lists and are never
-// mutated by buildChildren, so one seed slice serves every query.
+// oneRead is the logical cost of one node read.
+var oneRead = Metrics{NodesRead: 1}
+
+// seed builds the first frontier: the root's children, each child
+// contributing to the others. The pseudo parent groups carry empty
+// contribution lists: one per (root cluster, distinct K), holding every
+// query of that K. Queries of different K never share a group — k
+// decides which contributors are worth refining, so their lists diverge.
 func (w *worker) seed() ([]candidate, error) {
 	s := w.s
 	root := s.tree.RootEntry()
 	if root.Count == 1 {
 		// A single object: it has no neighbors, so the k-th NN similarity
 		// is -Inf and the object is always a result, for every query.
+		v, err := w.fetch(root.Child)
+		if err != nil {
+			return nil, err
+		}
+		id := v.EntryObjID(0)
+		w.doneView(&v)
 		for qi := range s.items {
-			w.begin(qi)
-			v, err := w.readView(root.Child)
-			if err != nil {
-				return nil, err
-			}
-			w.metrics.Candidates++
-			w.results = append(w.results, v.EntryObjID(0))
-			w.doneView(&v)
-			w.end(qi)
+			w.fold(qi, &oneRead)
+			ln := &w.lanes[qi]
+			ln.metrics.Candidates++
+			ln.results = append(ln.results, id)
 		}
 		return nil, nil
 	}
-	seeds := make([]*group, 0, len(root.Clusters)+1)
+	clusters := []int32{-1}
 	if s.tree.Clustered() && len(root.Clusters) > 0 {
+		clusters = clusters[:0]
 		for _, cs := range root.Clusters {
-			seeds = append(seeds, &group{cluster: cs.Cluster})
+			clusters = append(clusters, cs.Cluster)
 		}
-	} else {
-		seeds = append(seeds, &group{cluster: -1})
 	}
-	all := make([]activeQuery, len(s.items))
-	for qi := range all {
-		all[qi] = activeQuery{qi: qi, groups: seeds}
+	// Group the queries by K, in order of first appearance; each group
+	// lists its queries in ascending item order.
+	var ks []int
+	byK := map[int][]groupQuery{}
+	for qi := range s.items {
+		k := s.items[qi].K
+		if _, ok := byK[k]; !ok {
+			ks = append(ks, k)
+		}
+		byK[k] = append(byK[k], groupQuery{qi: qi})
 	}
-	return w.expand(&root, all)
+	seeds := make([]group, 0, len(clusters)*len(ks))
+	for _, k := range ks {
+		for _, c := range clusters {
+			seeds = append(seeds, group{cluster: c, k: k, queries: byK[k]})
+		}
+	}
+	pending := make([]*group, len(seeds))
+	for i := range seeds {
+		pending[i] = &seeds[i]
+	}
+	return w.expand(&root, pending)
 }
 
 // minFanoutRound is the smallest frontier size a round fans out across
@@ -448,11 +463,11 @@ const minFanoutRound = 8
 
 // runBatchRounds drains the frontier: the whole frontier is processed
 // per round, slots fanned across the worker pool by an atomic counter,
-// children merged back in frontier order. Every (query, group) verdict
-// depends only on its own contribution list — never on another candidate
-// or on processing order — so the only coordination is the round
-// barrier, the merged outcome is identical at every worker count, and
-// the frontier-order merge keeps runs reproducible.
+// children merged back in frontier order. Every (group, query) verdict
+// depends only on the group's own contribution list — never on another
+// candidate or on processing order — so the only coordination is the
+// round barrier, the merged outcome is identical at every worker count,
+// and the frontier-order merge keeps runs reproducible.
 func runBatchRounds(ws []*worker, first []candidate) error {
 	round := first
 	var firstErr error
@@ -501,32 +516,21 @@ func runBatchRounds(ws []*worker, first []candidate) error {
 	return firstErr
 }
 
-// process drives one frontier slot: every active query's groups are
-// decided (or kept pending), then — if any query still needs the subtree
-// — the entry's node is expanded once for all of them. The slot is
-// consumed: its active list and group lists are filtered in place down to
-// the pending ones, which only the processing worker ever touches.
+// process drives one frontier slot: every group is decided for all of
+// its queries (or kept pending for some), then — if any group still has
+// undecided queries — the entry's node is expanded once for all of them.
+// The slot is consumed: its group list and each group's query list are
+// filtered in place down to the pending ones, which only the processing
+// worker ever touches.
 func (w *worker) process(c *candidate) ([]candidate, error) {
-	pending := c.active[:0]
-	for _, aq := range c.active {
-		w.begin(aq.qi)
-		pend := aq.groups[:0]
-		for _, g := range aq.groups {
-			v, err := w.decideGroup(c.entry, g)
-			if err != nil {
-				return nil, err
-			}
-			if v == verdictExpand {
-				pend = append(pend, g)
-				continue
-			}
-			if err := w.settle(c.entry, g, v); err != nil {
-				return nil, err
-			}
+	pending := c.groups[:0]
+	for _, g := range c.groups {
+		expand, err := w.decideGroup(c.entry, g)
+		if err != nil {
+			return nil, err
 		}
-		w.end(aq.qi)
-		if len(pend) > 0 {
-			pending = append(pending, activeQuery{qi: aq.qi, groups: pend})
+		if expand {
+			pending = append(pending, g)
 		}
 	}
 	if len(pending) == 0 {
@@ -535,108 +539,73 @@ func (w *worker) process(c *candidate) ([]candidate, error) {
 	return w.expand(c.entry, pending)
 }
 
-// expand reads parent's node and turns its entries into the next
-// frontier slots. Every pending query charges one logical read (keeping
-// its NodesRead identical to a standalone run); a batch table fetches the
-// node at most once for all of them, and a single query's one read goes
-// to the store. The fan-out is materialized once into the ents arena, and
-// every pending query's children are merged into the shared slot of
-// their entry index. Slots come out in entry order, active lists in
-// ascending query order (pending preserves it) — deterministic regardless
-// of which worker expanded the parent.
-func (w *worker) expand(parent *iurtree.Entry, pending []activeQuery) ([]candidate, error) {
-	var v iurtree.NodeView
-	for _, p := range pending {
-		w.begin(p.qi)
-		var err error
-		v, err = w.readView(parent.Child)
-		w.end(p.qi)
-		if err != nil {
-			return nil, err
-		}
-	}
-	children := v.AppendEntries(w.scratch.ents.alloc(v.Len()))
-	w.doneView(&v)
-	slots := w.scratch.slots.alloc(len(children))[:len(children)]
-	for _, p := range pending {
-		w.begin(p.qi)
-		w.buildChildren(parent, children, p.groups, slots, len(pending))
-		w.end(p.qi)
-	}
-	out := slots[:0]
-	for i := range slots {
-		if len(slots[i].active) > 0 {
-			out = append(out, slots[i])
-		}
-	}
-	return out, nil
-}
-
-// clusterGroupOf returns the child's cluster summary matching the parent
-// group's cluster, or nil when the child holds no such objects. For
-// whole-node groups (cluster -1) it synthesizes a summary covering the
-// entire entry.
-func clusterGroupOf(e *iurtree.Entry, cluster int32) *iurtree.ClusterSummary {
-	if cluster < 0 {
-		return &iurtree.ClusterSummary{Cluster: -1, Count: e.Count, Env: e.Env}
-	}
-	for i := range e.Clusters {
-		if e.Clusters[i].Cluster == cluster {
-			return &e.Clusters[i]
-		}
-	}
-	return nil
-}
-
-// contribHeadroom is the arena growth slack reserved on every new
-// contribution list so in-place refinement appends (which replace one
-// contributor with a node's children) usually stay inside the carve.
-const contribHeadroom = 8
-
-// buildChildren turns the entries of an expanded node into the active
-// query's share of the child slots. Each surviving parent group is
-// projected onto every child that holds objects of its cluster; the child
-// group inherits the parent group's contribution list and gains the
-// child's siblings as contributors. Inherited and sibling bounds are kept
-// at parent/node granularity and marked stale — valid for the group
-// because its objects are a subset of what the bounds cover — and are
-// tightened lazily when the group is processed, keeping expansion cost
-// linear in the fan-out.
+// expand reads parent's node once and turns its entries into the next
+// frontier slots, building each child group once for all the queries
+// pending on its parent group. Every query pending anywhere in the slot
+// is charged one logical read and the sibling bounds, exactly as a
+// standalone run expanding the same node would be; only the query
+// intervals are computed per (child group, query). Slots come out in
+// entry order, each slot's groups in the parent's group order —
+// deterministic regardless of which worker expanded the parent.
 //
-// children must be stable storage (an ents carve): every sibling
-// contributor and every slot entry points into it, and inherited
+// Each child group inherits its parent group's contribution list and
+// gains the child's siblings as contributors. Inherited and sibling
+// bounds are kept at parent/node granularity and marked stale — valid
+// for the group because its objects are a subset of what the bounds
+// cover — and are tightened lazily when the group is processed, keeping
+// expansion cost linear in the fan-out. Every sibling contributor and
+// every slot entry points into the ents carve, and inherited
 // contributors keep pointing wherever the parent group's did, so no
-// Entry is copied per group. slots is index-aligned with children; a
-// slot's active list is carved with room for maxActive queries (the
-// number sharing the expansion) the first time any of them lands there.
+// Entry is copied per group.
 //
-// The slots (and the arena-backed bounds they reference) are only
-// published to other workers through the round barrier, so the
+// The slots (and the arena-backed groups and bounds they reference) are
+// only published to other workers through the round barrier, so the
 // scratch-owning worker is the sole writer until then.
-func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, parentGroups []*group, slots []candidate, maxActive int) {
+func (w *worker) expand(parent *iurtree.Entry, pending []*group) ([]candidate, error) {
+	v, err := w.fetch(parent.Child)
+	if err != nil {
+		return nil, err
+	}
+	sc := w.scratch
+	children := v.AppendEntries(sc.ents.alloc(v.Len()))
+	w.doneView(&v)
+
+	// Sibling bounds are relative to the parent, so one set serves every
+	// group and query; each pending query still pays for them once, as
+	// its standalone expansion would.
 	parentSide := sideOf(parent)
-	sibParts := w.scratch.sibParts[:0] // lazily filled once, shared by all groups
+	mk := w.mark()
+	sibParts := sc.sibParts[:0]
+	for j := range children {
+		sibParts = append(sibParts, w.scorer.entryBoundsInto(sc, parentSide, &children[j]))
+	}
+	perQuery := oneRead
+	w.chargeSince(mk, &perQuery)
+	w.stamp++
+	for _, pg := range pending {
+		for _, gq := range pg.queries {
+			if w.seen[gq.qi] != w.stamp {
+				w.seen[gq.qi] = w.stamp
+				w.fold(gq.qi, &perQuery)
+			}
+		}
+	}
+
+	slots := sc.slots.alloc(len(children))[:len(children)]
 	for i := range children {
 		child := &children[i]
-		var groups []*group
-		for _, pg := range parentGroups {
-			cs := clusterGroupOf(child, pg.cluster)
-			if cs == nil || cs.Count == 0 {
+		for _, pg := range pending {
+			env, count := clusterOf(child, pg.cluster)
+			if count == 0 {
 				continue
 			}
-			if len(sibParts) == 0 {
-				for j := range children {
-					sibParts = append(sibParts, w.scorer.entryBoundsInto(w.scratch, parentSide, &children[j]))
-				}
-			}
-			g := &group{
-				cluster: pg.cluster,
-				env:     cs.Env,
-				count:   cs.Count,
-			}
-			g.q = w.scorer.queryBounds(side{rect: child.Rect, env: cs.Env, exact: child.IsObject()}, w.q)
-			g.cl.self = w.scorer.selfPartsInto(w.scratch, child, pg.cluster, cs.Env, cs.Count)
-			g.cl.contributors = allocContribs(w.scratch, len(pg.cl.contributors)+len(children)-1, contribHeadroom)
+			g := &sc.groups.alloc(1)[:1][0]
+			g.cluster, g.count, g.k, g.env = pg.cluster, count, pg.k, env
+			gSide := side{rect: child.Rect, env: env, exact: child.IsObject()}
+			mk := w.mark()
+			g.cl.self = w.scorer.selfPartsInto(sc, child, pg.cluster, env, count)
+			w.chargeSince(mk, &g.spent)
+			g.cl.contributors = allocContribs(sc, len(pg.cl.contributors)+len(children)-1, contribHeadroom)
 			for j := range pg.cl.contributors {
 				g.cl.contributors = append(g.cl.contributors, contributor{
 					entry: pg.cl.contributors[j].entry,
@@ -655,89 +624,81 @@ func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, 
 				})
 			}
 			if w.s.opt.EagerBounds {
-				gSide := side{rect: child.Rect, env: cs.Env, exact: child.IsObject()}
-				w.reboundStale(gSide, &g.cl)
+				w.reboundStale(gSide, &g.cl, &g.spent)
 			}
-			groups = append(groups, g)
-		}
-		if len(groups) == 0 {
-			continue
-		}
-		slot := &slots[i]
-		if len(slot.active) == 0 {
-			slot.entry = child
-			slot.active = w.scratch.active.alloc(maxActive)
-		}
-		slot.active = append(slot.active, activeQuery{qi: w.qi, groups: groups})
-	}
-	w.scratch.sibParts = sibParts[:0]
-}
-
-// verdict is the outcome of deciding one group.
-type verdict int
-
-const (
-	verdictPruned verdict = iota
-	verdictReported
-	verdictExpand
-)
-
-// settle applies one decided group's verdict: the metrics bookkeeping,
-// result emission, and subtree collection.
-func (w *worker) settle(e *iurtree.Entry, g *group, v verdict) error {
-	switch v {
-	case verdictPruned:
-		if e.IsObject() {
-			w.metrics.Candidates++
-		} else {
-			w.metrics.GroupPruned += int(g.count)
-		}
-	case verdictReported:
-		if e.IsObject() {
-			w.metrics.Candidates++
-			w.results = append(w.results, e.ObjID)
-		} else {
-			w.metrics.GroupReported += int(g.count)
-			return w.collect(e, g.cluster)
+			g.queries = sc.gqs.alloc(len(pg.queries))[:len(pg.queries)]
+			for j, pq := range pg.queries {
+				mk := w.mark()
+				g.queries[j] = groupQuery{qi: pq.qi, q: w.scorer.queryBounds(gSide, &w.s.items[pq.qi].Query)}
+				w.chargeSince(mk, &w.lanes[pq.qi].metrics)
+			}
+			slot := &slots[i]
+			if slot.groups == nil {
+				slot.entry = child
+				slot.groups = sc.glists.alloc(len(pending))
+			}
+			slot.groups = append(slot.groups, g)
 		}
 	}
-	return nil
+	sc.sibParts = sibParts[:0]
+	out := slots[:0]
+	for i := range slots {
+		if len(slots[i].groups) > 0 {
+			out = append(out, slots[i])
+		}
+	}
+	return out, nil
 }
 
-// decideGroup evaluates one group against the two pruning rules,
-// tightening its contribution list in two tiers: *rebounds* recompute the
-// stale inherited bounds against this group (pure CPU), *refinements*
-// replace a contributor node with its children (one node read each).
-// Object-level groups always reach a decision; internal groups may return
-// verdictExpand once rebounds and the refinement budget are exhausted.
-func (w *worker) decideGroup(e *iurtree.Entry, g *group) (verdict, error) {
+// clusterOf returns the envelope and object count of the given cluster
+// below e, or a zero count when e holds no such objects. Cluster -1 (a
+// whole-node group) covers the entire entry.
+func clusterOf(e *iurtree.Entry, cluster int32) (vector.Envelope, int32) {
+	if cluster < 0 {
+		return e.Env, e.Count
+	}
+	for i := range e.Clusters {
+		if e.Clusters[i].Cluster == cluster {
+			return e.Clusters[i].Env, e.Clusters[i].Count
+		}
+	}
+	return vector.Envelope{}, 0
+}
+
+// contribHeadroom is the arena growth slack reserved on every new
+// contribution list so in-place refinement appends (which replace one
+// contributor with a node's children) usually stay inside the carve.
+const contribHeadroom = 8
+
+// decideGroup evaluates one group against the two pruning rules for all
+// of its pending queries, tightening the shared contribution list in two
+// tiers: *rebounds* recompute the stale inherited bounds against this
+// group (pure CPU), *refinements* replace a contributor node with its
+// children (one node read each). Each step computes (kNNL, kNNU) once,
+// settles every query a rule decides, and tightens the list once for the
+// rest. Object-level groups always reach a decision; internal groups
+// return true (expand) for the queries still pending once rebounds and
+// the refinement budget are exhausted.
+func (w *worker) decideGroup(e *iurtree.Entry, g *group) (bool, error) {
 	groupBudget := w.s.opt.GroupRefine
 	gSide := side{rect: e.Rect, env: g.env, exact: e.IsObject()}
 	sc := w.scratch
 	for {
-		sc.selLo.reset(w.k)
-		sc.selHi.reset(w.k)
+		sc.selLo.reset(g.k)
+		sc.selHi.reset(g.k)
 		g.cl.knnBoundsInto(&sc.selLo, &sc.selHi)
 		knnl, knnu := sc.selLo.kth(), sc.selHi.kth()
-		if g.q.hi < knnl {
-			// Rule 1: the query can never reach any member's top-k.
-			if e.IsObject() && w.trace != nil {
-				w.trace(e.ObjID, knnl, knnu)
-			}
-			return verdictPruned, nil
+		if err := w.settle(e, g, knnl, knnu); err != nil {
+			return false, err
 		}
-		if g.q.lo >= knnu {
-			// Rule 2: the query ranks within every member's top-k.
-			if e.IsObject() && w.trace != nil {
-				w.trace(e.ObjID, knnl, knnu)
-			}
-			return verdictReported, nil
+		if len(g.queries) == 0 {
+			return false, nil
 		}
 		// Tier 1: make every inherited bound group-relative (pure CPU).
 		// Loose ancestor-level lower bounds keep kNNL artificially low,
 		// so all of them are tightened in one pass the first time the
 		// group turns out to be undecided.
-		if w.reboundStale(gSide, &g.cl) {
+		if w.reboundStale(gSide, &g.cl, &g.spent) {
 			continue
 		}
 		idx := g.cl.refinable(w.s.opt.Strategy, sc.hist, knnu)
@@ -747,30 +708,91 @@ func (w *worker) decideGroup(e *iurtree.Entry, g *group) (verdict, error) {
 			// object, because then knnl == knnu and the two rules are
 			// exhaustive.
 			if idx < 0 {
-				return 0, fmt.Errorf("core: undecidable object %d with exact bounds [%g, %g], query %g",
-					e.ObjID, knnl, knnu, g.q.lo)
+				return false, fmt.Errorf("core: undecidable object %d with exact bounds [%g, %g], query %g",
+					e.ObjID, knnl, knnu, g.queries[0].q.lo)
 			}
-			if err := w.refine(gSide, &g.cl, idx); err != nil {
-				return 0, err
+			if err := w.refine(gSide, &g.cl, idx, &g.spent); err != nil {
+				return false, err
 			}
 			continue
 		}
 		if groupBudget > 0 && idx >= 0 {
 			groupBudget--
-			if err := w.refine(gSide, &g.cl, idx); err != nil {
-				return 0, err
+			if err := w.refine(gSide, &g.cl, idx, &g.spent); err != nil {
+				return false, err
 			}
 			continue
 		}
-		return verdictExpand, nil
+		for _, gq := range g.queries {
+			w.fold(gq.qi, &g.spent)
+		}
+		return true, nil
 	}
 }
 
+// settle applies Rule 1 and Rule 2 with the group's current bounds to
+// every pending query. A decided query is charged the group's work so
+// far, traced (object groups), counted, and — when reported — given the
+// group's members; g.queries keeps the undecided ones, in order. The
+// members of a reported internal group are collected once per step for
+// all the queries reporting it, each charged the reads.
+func (w *worker) settle(e *iurtree.Entry, g *group, knnl, knnu float64) error {
+	keep := g.queries[:0]
+	var members Metrics
+	ids := w.scratch.ids[:0]
+	collected := false
+	for _, gq := range g.queries {
+		var reported bool
+		switch {
+		case gq.q.hi < knnl:
+			// Rule 1: the query can never reach any member's top-k.
+		case gq.q.lo >= knnu:
+			// Rule 2: the query ranks within every member's top-k.
+			reported = true
+		default:
+			keep = append(keep, gq)
+			continue
+		}
+		w.fold(gq.qi, &g.spent)
+		ln := &w.lanes[gq.qi]
+		if e.IsObject() {
+			if trace := w.s.items[gq.qi].BoundTrace; trace != nil {
+				trace(e.ObjID, knnl, knnu)
+			}
+			ln.metrics.Candidates++
+			if reported {
+				ln.results = append(ln.results, e.ObjID)
+			}
+			continue
+		}
+		if !reported {
+			ln.metrics.GroupPruned += int(g.count)
+			continue
+		}
+		ln.metrics.GroupReported += int(g.count)
+		if !collected {
+			var err error
+			ids, members.NodesRead, err = w.collect(e.Child, g.cluster, ids)
+			if err != nil {
+				return err
+			}
+			collected = true
+		}
+		ln.results = append(ln.results, ids...)
+		w.fold(gq.qi, &members)
+	}
+	w.scratch.ids = ids[:0]
+	g.queries = keep
+	return nil
+}
+
 // reboundStale recomputes every stale contributor's bounds against the
-// group itself (they were inherited from an ancestor). No I/O. Returns
-// true when anything changed. The fresh parts replace the inherited slice
-// (which may be shared with sibling groups) — they never mutate it.
-func (w *worker) reboundStale(gSide side, cl *contributionList) bool {
+// group itself (they were inherited from an ancestor), charging the work
+// to spent. No I/O. Returns true when anything changed. The fresh parts
+// replace the inherited slice (which may be shared with sibling groups)
+// — they never mutate it.
+func (w *worker) reboundStale(gSide side, cl *contributionList, spent *Metrics) bool {
+	mk := w.mark()
 	changed := false
 	for i := range cl.contributors {
 		ct := &cl.contributors[i]
@@ -779,25 +801,28 @@ func (w *worker) reboundStale(gSide side, cl *contributionList) bool {
 		}
 		ct.parts = w.scorer.entryBoundsInto(w.scratch, gSide, ct.entry)
 		ct.stale = false
-		w.metrics.Rebounds++
+		spent.Rebounds++
 		changed = true
 	}
+	w.chargeSince(mk, spent)
 	return changed
 }
 
 // refine replaces contributor idx with its children, re-bounded against
-// the group. The children are materialized into the ents arena, where
-// the new contributors point; the replacement buffer is scratch-owned:
-// replace() copies it into the contribution list, so it is reusable
-// immediately.
-func (w *worker) refine(gSide side, cl *contributionList, idx int) error {
-	v, err := w.readView(cl.contributors[idx].entry.Child)
+// the group, charging the read and the bounds to spent. The children are
+// materialized into the ents arena, where the new contributors point;
+// the replacement buffer is scratch-owned: replace() copies it into the
+// contribution list, so it is reusable immediately.
+func (w *worker) refine(gSide side, cl *contributionList, idx int, spent *Metrics) error {
+	v, err := w.fetch(cl.contributors[idx].entry.Child)
 	if err != nil {
 		return err
 	}
-	w.metrics.Refinements++
+	spent.NodesRead++
+	spent.Refinements++
 	children := v.AppendEntries(w.scratch.ents.alloc(v.Len()))
 	w.doneView(&v)
+	mk := w.mark()
 	repl := w.scratch.repl[:0]
 	for i := range children {
 		repl = append(repl, contributor{
@@ -805,47 +830,42 @@ func (w *worker) refine(gSide side, cl *contributionList, idx int) error {
 			parts: w.scorer.entryBoundsInto(w.scratch, gSide, &children[i]),
 		})
 	}
+	w.chargeSince(mk, spent)
 	cl.replace(w.scratch, idx, repl)
 	w.scratch.repl = repl[:0]
 	return nil
 }
 
-// collect appends the object IDs below e belonging to the given cluster
-// (every object when cluster < 0) to the result set, reading the subtree
-// (the I/O is charged like any other access).
-func (w *worker) collect(e *iurtree.Entry, cluster int32) error {
-	if e.IsObject() {
-		w.results = append(w.results, e.ObjID)
-		return nil
-	}
-	return w.collectNode(e.Child, cluster)
-}
-
-// collectNode is collect below one node, via views: object IDs are read
-// straight off the page bytes, and only entries passing the cluster
-// filter recurse. The parent's view stays live across the recursion,
-// which is why the scratch keeps a stack of offset buffers.
-func (w *worker) collectNode(id storage.NodeID, cluster int32) error {
-	v, err := w.readView(id)
+// collect appends the IDs of the objects below node id that belong to
+// the given cluster (every object when cluster < 0) to ids, and returns
+// the number of nodes it read to find them. Object IDs are read straight
+// off the page bytes, and only entries passing the cluster filter
+// recurse. The parent's view stays live across the recursion, which is
+// why the scratch keeps a stack of offset buffers.
+func (w *worker) collect(id storage.NodeID, cluster int32, ids []int32) ([]int32, int, error) {
+	v, err := w.fetch(id)
 	if err != nil {
-		return err
+		return ids, 0, err
 	}
-	n := v.Len()
-	for i := 0; i < n; i++ {
+	reads := 1
+	for i, n := 0, v.Len(); i < n; i++ {
 		if cluster >= 0 && clusterCountIn(v.EntryClusters(i), cluster) == 0 {
 			continue
 		}
 		if v.EntryIsObject(i) {
-			w.results = append(w.results, v.EntryObjID(i))
+			ids = append(ids, v.EntryObjID(i))
 			continue
 		}
-		if err := w.collectNode(v.EntryChild(i), cluster); err != nil {
+		var sub int
+		ids, sub, err = w.collect(v.EntryChild(i), cluster, ids)
+		reads += sub
+		if err != nil {
 			w.doneView(&v)
-			return err
+			return ids, reads, err
 		}
 	}
 	w.doneView(&v)
-	return nil
+	return ids, reads, nil
 }
 
 // clusterCountIn returns the number of objects of the given cluster

@@ -93,8 +93,9 @@ func (a *arena[T]) reset() {
 // owned by exactly one goroutine at a time; slices carved from its arenas
 // may be *read* by other workers in later rounds (candidate expansion
 // publishes them via the round barrier) but are only ever written by the
-// owner before publication — except a frontier slot's active and group
-// lists, which the one worker that processes the slot filters in place.
+// owner before publication — except a frontier slot's group list and its
+// groups, which the one worker that processes the slot decides and
+// filters in place.
 type scratch struct {
 	// selLo/selHi are the kNN-bound selectors, reused across every
 	// pruning check so their heap storage is allocated once.
@@ -108,17 +109,23 @@ type scratch struct {
 	// it instead of holding 184-byte copies, so a carve must stay put
 	// until release: it is never reused within a query.
 	ents arena[iurtree.Entry]
-	// slots and active back the frontier: one candidate per expanded
-	// child (index-aligned with the ents carve, compacted in place) and
-	// its active-query list. Like ents they live until release, so a
-	// one-query traversal pays no per-child heap allocation for them.
+	// slots, glists, groups and gqs back the frontier: one candidate per
+	// expanded child (index-aligned with the ents carve, compacted in
+	// place), its group list, the group records and their pending-query
+	// lists. Like ents they live until release, so the traversal pays no
+	// per-child heap allocation for them.
 	slots  arena[candidate]
-	active arena[activeQuery]
+	glists arena[*group]
+	groups arena[group]
+	gqs    arena[groupQuery]
 	// repl is the transient replacement buffer of refine(): replace()
 	// copies it into the contribution list, so it never outlives a call.
 	repl []contributor
 	// sibParts is the transient per-expansion sibling-bounds buffer.
 	sibParts [][]part
+	// ids is the transient buffer of a reported group's collected
+	// members, copied into each reporting query's results.
+	ids []int32
 	// hist is the cluster-histogram buffer of entropy refinement, sized
 	// to the tree's cluster count when a worker checks the scratch out.
 	hist []int
@@ -137,8 +144,11 @@ var scratchPool = sync.Pool{New: func() any {
 	s.ents.clearOnReset = true
 	s.slots.chunk = 256
 	s.slots.clearOnReset = true
-	s.active.chunk = 256
-	s.active.clearOnReset = true
+	s.glists.chunk = 256
+	s.glists.clearOnReset = true
+	s.groups.chunk = 128
+	s.groups.clearOnReset = true
+	s.gqs.chunk = 512
 	return s
 }}
 
@@ -152,13 +162,15 @@ func (s *scratch) release() {
 	s.contribs.reset()
 	s.ents.reset()
 	s.slots.reset()
-	s.active.reset()
+	s.glists.reset()
+	s.groups.reset()
+	s.gqs.reset()
 	clear(s.repl)
 	s.repl = s.repl[:0]
 	clear(s.sibParts)
 	s.sibParts = s.sibParts[:0]
-	// viewBufs and hist hold only integers — no references to retain —
-	// and stay warm across queries.
+	// viewBufs, hist and ids hold only integers — no references to
+	// retain — and stay warm across queries.
 	scratchPool.Put(s)
 }
 

@@ -60,8 +60,12 @@ func TestArenaWarmReuseAllocFree(t *testing.T) {
 			_ = append(e, iurtree.Entry{})
 			sl := sc.slots.alloc(12)
 			_ = append(sl, candidate{})
-			a := sc.active.alloc(3)
-			_ = append(a, activeQuery{})
+			gl := sc.glists.alloc(3)
+			_ = append(gl, nil)
+			g := sc.groups.alloc(2)
+			_ = append(g, group{})
+			q := sc.gqs.alloc(8)
+			_ = append(q, groupQuery{})
 		}
 	}
 	reset := func() {
@@ -69,7 +73,9 @@ func TestArenaWarmReuseAllocFree(t *testing.T) {
 		sc.contribs.reset()
 		sc.ents.reset()
 		sc.slots.reset()
-		sc.active.reset()
+		sc.glists.reset()
+		sc.groups.reset()
+		sc.gqs.reset()
 	}
 	// Warm pass makes the arenas grow their chunks once.
 	carve()
@@ -173,7 +179,7 @@ func (a *arena[T]) owns(p *T) bool {
 }
 
 // TestContributorsPointIntoEntsArena is the aliasing check behind the
-// slim contributor: after expansion (the seed's buildChildren) and
+// slim contributor: after expansion (the seed's expand) and
 // refinement, every contributor's entry lives in the worker's ents arena
 // — never in a transient buffer the next read reuses — and keeps its
 // value while the scratch's transient buffers are clobbered and further
@@ -193,18 +199,17 @@ func TestContributorsPointIntoEntsArena(t *testing.T) {
 	// Refine one internal contributor of every group, so the lists mix
 	// sibling, inherited-from-seed and refined entries.
 	refined := 0
-	w.begin(0)
 	for _, c := range first {
 		if !w.scratch.ents.owns(c.entry) {
 			t.Fatalf("slot entry %p is not in the ents arena", c.entry)
 		}
-		for _, g := range c.active[0].groups {
+		for _, g := range c.groups {
 			for i := range g.cl.contributors {
 				if g.cl.contributors[i].entry.IsObject() {
 					continue
 				}
 				gSide := side{rect: c.entry.Rect, env: g.env, exact: c.entry.IsObject()}
-				if err := w.refine(gSide, &g.cl, i); err != nil {
+				if err := w.refine(gSide, &g.cl, i, &g.spent); err != nil {
 					t.Fatal(err)
 				}
 				refined++
@@ -212,7 +217,6 @@ func TestContributorsPointIntoEntsArena(t *testing.T) {
 			}
 		}
 	}
-	w.end(0)
 	if refined == 0 {
 		t.Fatal("no internal contributor to refine; the test needs a deeper tree")
 	}
@@ -223,7 +227,7 @@ func TestContributorsPointIntoEntsArena(t *testing.T) {
 	}
 	var all []snap
 	for _, c := range first {
-		for _, g := range c.active[0].groups {
+		for _, g := range c.groups {
 			for _, ct := range g.cl.contributors {
 				if !w.scratch.ents.owns(ct.entry) {
 					t.Fatalf("contributor entry %p is not in the ents arena", ct.entry)

@@ -48,6 +48,9 @@ type QueryStats struct {
 	GroupReported int
 	Candidates    int
 	Refinements   int
+	// Rebounds counts the free, CPU-only re-tightenings of inherited
+	// contributor bounds (no node read).
+	Rebounds int
 }
 
 // CacheHitRatio returns the fraction of this query's node reads that
@@ -136,6 +139,7 @@ func (e *Engine) queryVector(ctx context.Context, st *engineState, x, y float64,
 			GroupReported: out.Metrics.GroupReported,
 			Candidates:    out.Metrics.Candidates,
 			Refinements:   out.Metrics.Refinements,
+			Rebounds:      out.Metrics.Rebounds,
 		},
 	}, nil
 }
@@ -269,6 +273,13 @@ type BatchStats struct {
 	NodesReadPerQuery float64
 	// PageAccesses is the simulated page I/O the physical reads paid.
 	PageAccesses int64
+	// ExactSims and BoundEvals count the similarity computations the
+	// traversal physically performed. The batch decides each shared
+	// group once for all its requests, so these never exceed the sums
+	// of the requests' own counters, and fall below them once requests
+	// with the same k share groups.
+	ExactSims  int64
+	BoundEvals int64
 }
 
 // BatchQuery answers many reverse queries against one pinned snapshot:
@@ -384,12 +395,15 @@ func (e *Engine) batchShared(ctx context.Context, st *engineState, reqs []QueryR
 				GroupReported: o.Metrics.GroupReported,
 				Candidates:    o.Metrics.Candidates,
 				Refinements:   o.Metrics.Refinements,
+				Rebounds:      o.Metrics.Rebounds,
 			},
 		}}
 	}
 	bs.NodesRead = mo.Batch.NodesRead
 	bs.SharedHits = mo.Batch.SharedHits
 	bs.PageAccesses = batchTracker.PagesRead()
+	bs.ExactSims = mo.Batch.ExactSims
+	bs.BoundEvals = mo.Batch.BoundEvals
 	return bs
 }
 
