@@ -24,10 +24,12 @@ race:
 # after every snapshot swap, and concurrent TopK and reverse queries
 # sharing one bound cache; then the traversal's parallel rounds, whose
 # workers hand arena-backed frontier slots and shared groups to each
-# other at every round barrier. Each repeated for extra interleavings.
+# other at every round barrier, read one node table together, and
+# rewind their arenas after every object decision. Each repeated for
+# extra interleavings.
 race-stress:
 	go test -race -run 'TestConcurrentQueryMutateRace|TestPinnedSnapshotSurvivesDelete|TestConcurrentQueriesMatchSequential' -count=3 .
-	go test -race -run 'TestBatchSharedMatchesIndependent|TestBatchSharedGroupsSplitByK|TestParallelMatchesSequential' -count=3 ./internal/core
+	go test -race -run 'TestBatchSharedMatchesIndependent|TestBatchSharedGroupsSplitByK|TestParallelMatchesSequential|TestTrackerIOAttribution|TestContributorsPointIntoNodeTable|TestArenaRewind|TestBatchScratchBounded' -count=3 ./internal/core
 
 # Domain-specific analyzers (trackedio, ctxflow, locksafe, floatcmp,
 # hotalloc, sharedmut, errlost, pinsafe, retirepub, lockorder,

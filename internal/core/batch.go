@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"rstknn/internal/iurtree"
 	"rstknn/internal/storage"
 )
@@ -24,7 +21,8 @@ import (
 // would have pruned or reported it, and is charged the group's work up
 // to that point, so per-query Results, Metrics, and kNN bounds are
 // bit-identical to N RSTkNN calls — only the work is shared. RSTkNN
-// itself is the N = 1 case, run without the node table below.
+// itself is the N = 1 case, run with its node table in standalone mode
+// (table.go).
 //
 // Determinism contract: workers split the frontier by node, never by
 // query, and every verdict depends only on its group's own contribution
@@ -32,9 +30,10 @@ import (
 // count, and Workers:1 is bit-for-bit deterministic.
 //
 // Tracker attribution rule: MultiRSTkNN fetches each node page (and
-// parses its NodeView) at most once per batch, through a once-per-node
-// view table, and charges that physical I/O (ChargeRead/ChargeCacheHit)
-// exactly once per distinct node, to the batch-level opt.Tracker. Every
+// parses its NodeView) at most once per batch, through the traversal's
+// shared node table, and charges that physical I/O
+// (ChargeRead/ChargeCacheHit) exactly once per distinct node, to the
+// batch-level opt.Tracker. Every
 // query that consumes a node — including the one whose expansion
 // triggered the fetch — records one ChargeSharedRead on its own
 // BatchItem.Tracker and counts the node in its Metrics.NodesRead,
@@ -75,6 +74,11 @@ type BatchMetrics struct {
 	// per-query counters, and below them once queries share a group.
 	ExactSims  int64
 	BoundEvals int64
+	// ScratchPeakBytes is the traversal's scratch high-water mark: the
+	// arena chunk bytes its workers held at their peaks, plus its node
+	// table (exact at one worker; an upper bound on simultaneous use at
+	// more). Counted per chunk, so it is at least the bytes carved.
+	ScratchPeakBytes int64
 }
 
 // MultiOutcome is the result of one shared-traversal batch: one Outcome
@@ -83,49 +87,6 @@ type BatchMetrics struct {
 type MultiOutcome struct {
 	Outcomes []*Outcome
 	Batch    BatchMetrics
-}
-
-// batchTable is the once-per-node view table of one batch: the first
-// query to need a node fetches it (charging the physical I/O to the
-// batch tracker) and every later consumer gets the already-parsed view.
-// Views and their offset buffers are owned by the table for the batch's
-// lifetime, so they may be shared across worker goroutines — NodeView
-// accessors are read-only.
-type batchTable struct {
-	tree *iurtree.Snapshot
-	tr   *storage.Tracker
-	phys atomic.Int64
-
-	mu    sync.Mutex
-	nodes map[storage.NodeID]*batchSlot
-}
-
-// batchSlot is one node's entry in the table. The sync.Once serializes
-// the fetch without holding the table mutex across I/O.
-type batchSlot struct {
-	once sync.Once
-	view iurtree.NodeView
-	err  error
-}
-
-func newBatchTable(tree *iurtree.Snapshot, tr *storage.Tracker) *batchTable {
-	return &batchTable{tree: tree, tr: tr, nodes: make(map[storage.NodeID]*batchSlot)}
-}
-
-// load returns the node's shared view, fetching it on first use.
-func (b *batchTable) load(id storage.NodeID) (iurtree.NodeView, error) {
-	b.mu.Lock()
-	s := b.nodes[id]
-	if s == nil {
-		s = &batchSlot{}
-		b.nodes[id] = s
-	}
-	b.mu.Unlock()
-	s.once.Do(func() {
-		b.phys.Add(1)
-		s.view, s.err = b.tree.ReadViewTracked(id, b.tr, nil)
-	})
-	return s.view, s.err
 }
 
 // MultiRSTkNN answers a batch of reverse spatial-textual k nearest
@@ -139,17 +100,14 @@ func (b *batchTable) load(id storage.NodeID) (iurtree.NodeView, error) {
 // independent RSTkNN calls with the same per-query options, at every
 // worker count.
 func MultiRSTkNN(t *iurtree.Snapshot, items []BatchItem, opt Options) (*MultiOutcome, error) {
-	table := newBatchTable(t, opt.Tracker)
-	outs, bm, err := search(t, items, opt, table)
+	outs, bm, err := search(t, items, opt, true)
 	if err != nil {
 		return nil, err
 	}
-	mo := &MultiOutcome{Outcomes: outs, Batch: bm}
 	logical := 0
 	for _, o := range outs {
 		logical += o.Metrics.NodesRead
 	}
-	mo.Batch.NodesRead = int(table.phys.Load())
-	mo.Batch.SharedHits = logical - mo.Batch.NodesRead
-	return mo, nil
+	bm.SharedHits = logical - bm.NodesRead
+	return &MultiOutcome{Outcomes: outs, Batch: bm}, nil
 }

@@ -21,9 +21,9 @@ import (
 // Lists are copied wholesale — every child group inherits its parent's —
 // so the element is kept small: entry points at a stable Entry rather
 // than embedding it (40 bytes instead of 216). The pointee lives in the
-// ents arena of the scratch that materialized it (or, in tests, on the
-// heap) and is read-only; the pointer is valid until that scratch is
-// released, which happens only after the whole frontier is decided.
+// traversal's node table (or, in tests, on the heap) and is read-only;
+// the pointer is valid until the table is released, which happens only
+// after the whole frontier is decided.
 type contributor struct {
 	entry *iurtree.Entry
 	parts []part

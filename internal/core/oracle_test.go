@@ -199,7 +199,8 @@ func checkViewReaderIO(t *testing.T, tree *iurtree.Snapshot, log *readLog, q cor
 // store's own fetch count. A one-item MultiRSTkNN reports the same
 // per-query Metrics, but its batch tracker pays once per distinct node
 // (and the store serves each node once), while the item's tracker records
-// one shared read per logical read.
+// one shared read per logical read. checkPooledIO repeats the standalone
+// and batch checks on a store with an evicting buffer pool.
 func TestTrackerIOAttribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	objs := genObjects(rng, 300, 40, 6)
@@ -276,5 +277,79 @@ func TestTrackerIOAttribution(t *testing.T) {
 		if !deduped {
 			t.Errorf("clusters=%d: no query re-read a node, so the distinct-node charge went untested", clusters)
 		}
+		checkPooledIO(t, objs, clusters, rng)
+	}
+}
+
+// checkPooledIO pins the I/O attribution under a buffer pool too small
+// to hold the tree. A standalone RSTkNN reads a node's contents once
+// from its node table but must still fetch from the store on every
+// logical read, so the pool sees exactly the accesses a re-reading
+// traversal makes: the store is asked once per Metrics.NodesRead, each
+// ask is a tracker read or a cache hit, and the store's own miss count
+// equals the tracker's reads. A one-item batch asks once per distinct
+// node, charged to the batch tracker.
+func checkPooledIO(t *testing.T, objs []iurtree.Object, clusters int, rng *rand.Rand) {
+	t.Helper()
+	cfg := treeConfig(objs, clusters)
+	store := storage.NewStore(storage.WithBufferPool(8))
+	log := &readLog{Blobs: store}
+	cfg.Store = log
+	tree, err := iurtree.Build(objs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits, misses int64
+	for trial := 0; trial < 6; trial++ {
+		q := genQuery(rng, 40, 6)
+		k := []int{1, 3, 10}[trial%3]
+		for _, workers := range []int{1, 4} {
+			tag := fmt.Sprintf("pool clusters=%d trial=%d k=%d workers=%d", clusters, trial, k, workers)
+			opt := core.Options{Alpha: 0.5, Strategy: core.RefineByMaxUpper, Workers: workers}
+
+			log.reset()
+			before := store.Stats()
+			var tr storage.Tracker
+			o := opt
+			o.K = k
+			o.Tracker = &tr
+			single, err := core.RSTkNN(tree, q, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetched, _ := log.fetches()
+			n := int64(single.Metrics.NodesRead)
+			if tr.Reads()+tr.CacheHits() != n || int64(fetched) != n {
+				t.Errorf("%s: RSTkNN tracker reads %d + cache hits %d, store asked %d times, want NodesRead %d",
+					tag, tr.Reads(), tr.CacheHits(), fetched, n)
+			}
+			if got := store.Stats().Reads - before.Reads; got != tr.Reads() {
+				t.Errorf("%s: store missed its pool %d times, tracker read %d", tag, got, tr.Reads())
+			}
+			hits += tr.CacheHits()
+			misses += tr.Reads()
+
+			log.reset()
+			var batchTr storage.Tracker
+			o = opt
+			o.Tracker = &batchTr
+			mo, err := core.MultiRSTkNN(tree, []core.BatchItem{{Query: q, K: k}}, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mo.Outcomes[0]; !idsEqual(got.Results, single.Results) || got.Metrics != single.Metrics {
+				t.Errorf("%s: one-item batch %v %+v != RSTkNN %v %+v",
+					tag, got.Results, got.Metrics, single.Results, single.Metrics)
+			}
+			fetched, distinct := log.fetches()
+			if fetched != distinct || mo.Batch.NodesRead != distinct ||
+				batchTr.Reads()+batchTr.CacheHits() != int64(distinct) {
+				t.Errorf("%s: batch asked the store %d times for %d distinct nodes; Batch.NodesRead %d, tracker %d reads + %d hits",
+					tag, fetched, distinct, mo.Batch.NodesRead, batchTr.Reads(), batchTr.CacheHits())
+			}
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Errorf("pool clusters=%d: %d cache hits and %d misses; the pool must both serve and evict", clusters, hits, misses)
 	}
 }

@@ -151,6 +151,11 @@ type Outcome struct {
 	// query, sorted ascending for determinism.
 	Results []int32
 	Metrics Metrics
+	// ScratchPeakBytes is the scratch high-water mark of the traversal
+	// that answered the query (for a batch item, the whole batch's; see
+	// BatchMetrics). It is kept out of Metrics, which a batch item must
+	// reproduce bit for bit from its standalone run.
+	ScratchPeakBytes int64
 }
 
 // group is one decision unit: the objects of one text cluster below the
@@ -193,33 +198,35 @@ type groupQuery struct {
 // neighbors are always results.
 //
 // A single query is the one-item case of the shared traversal (see
-// batch.go), run without a batch node table: every node read goes
-// straight to the store and is charged to opt.Tracker.
+// batch.go), with its node table in standalone mode: every node read
+// makes its own store fetch, charged to opt.Tracker.
 func RSTkNN(t *iurtree.Snapshot, q Query, opt Options) (*Outcome, error) {
-	outs, _, err := search(t, []BatchItem{{Query: q, K: opt.K, BoundTrace: opt.BoundTrace}}, opt, nil)
+	outs, _, err := search(t, []BatchItem{{Query: q, K: opt.K, BoundTrace: opt.BoundTrace}}, opt, false)
 	if err != nil {
 		return nil, err
 	}
 	return outs[0], nil
 }
 
-// searcher is what every worker of one traversal shares read-only: the
-// tree, the options, the queries, and the batch node table (nil for a
-// single query, whose reads go straight to the store).
+// searcher is what every worker of one traversal shares: the tree, the
+// options and the queries (read-only), and the traversal's node table.
 type searcher struct {
 	tree  *iurtree.Snapshot
 	opt   Options
 	items []BatchItem
-	table *batchTable
+	table *nodeTable
 }
 
 // search is the one traversal driver behind RSTkNN and MultiRSTkNN: it
 // validates the inputs, seeds the shared frontier, drains it in rounds,
 // and merges every worker's per-query lanes into one Outcome per item,
-// in item order, with Results sorted ascending. The returned
-// BatchMetrics carry the similarity work the workers physically did;
-// the caller fills in the node-table counters.
-func search(t *iurtree.Snapshot, items []BatchItem, opt Options, table *batchTable) ([]*Outcome, BatchMetrics, error) {
+// in item order, with Results sorted ascending. shared selects the node
+// table's mode: a batch shares each node's one fetch among its queries,
+// a standalone query pays a fetch per read. The returned BatchMetrics
+// carry the distinct nodes read, the similarity work the workers
+// physically did and the scratch high-water; the caller fills in
+// SharedHits.
+func search(t *iurtree.Snapshot, items []BatchItem, opt Options, shared bool) ([]*Outcome, BatchMetrics, error) {
 	var bm BatchMetrics
 	for i := range items {
 		if items[i].K <= 0 {
@@ -240,18 +247,20 @@ func search(t *iurtree.Snapshot, items []BatchItem, opt Options, table *batchTab
 		return outs, bm, nil
 	}
 
-	s := &searcher{tree: t, opt: opt, items: items, table: table}
+	s := &searcher{tree: t, opt: opt, items: items, table: getTable(t, opt.Tracker, shared)}
 	ws := make([]*worker, effectiveWorkers(opt.Workers))
 	for i := range ws {
 		ws[i] = s.newWorker()
 	}
-	// Scratches are recycled only after the frontier is fully drained
-	// and every lane harvested — candidates built by one worker may
-	// reference arena-backed bounds owned by another until decided.
+	// Scratches and the table are recycled only after the frontier is
+	// fully drained and every lane harvested — candidates built by one
+	// worker may reference arena-backed bounds owned by another, and
+	// table entries, until decided.
 	defer func() {
 		for _, w := range ws {
 			w.release()
 		}
+		s.table.release()
 	}()
 
 	frontier, err := ws[0].seed()
@@ -269,9 +278,13 @@ func search(t *iurtree.Snapshot, items []BatchItem, opt Options, table *batchTab
 		}
 		bm.ExactSims += w.scorer.ExactCount
 		bm.BoundEvals += w.scorer.BoundCount
+		bm.ScratchPeakBytes += w.scratch.mem.peak
 	}
+	bm.ScratchPeakBytes += s.table.mem.peak
+	bm.NodesRead = int(s.table.phys.Load())
 	for _, o := range outs {
 		sort.Slice(o.Results, func(i, j int) bool { return o.Results[i] < o.Results[j] })
+		o.ScratchPeakBytes = bm.ScratchPeakBytes
 	}
 	return outs, bm, nil
 }
@@ -280,9 +293,9 @@ func search(t *iurtree.Snapshot, items []BatchItem, opt Options, table *batchTab
 // still have undecided queries. Keeping every group of one entry
 // together means expansion reads the node exactly once no matter how
 // many queries, clusters and rank cutoffs remain undecided. The entry
-// points into the ents carve of the expansion that produced it; the
-// slot, its group list and the group records are carved from the
-// scratch arenas of the worker that built them.
+// points into the node table's entries of the parent node; the slot,
+// its group list and the group records are carved from the scratch
+// arenas of the worker that built them.
 type candidate struct {
 	entry  *iurtree.Entry
 	groups []*group
@@ -350,13 +363,13 @@ func (w *worker) chargeSince(mk simMark, m *Metrics) {
 
 // fold charges work m, done once on behalf of several queries, to query
 // qi's lane, so the query's Metrics read as if it had done m alone.
-// Under a batch table each of m's logical node reads is also one shared
-// read on the query's own tracker.
+// Under a shared table each of m's logical node reads is also one
+// shared read on the query's own tracker.
 //
 //rstknn:hotpath one call per settled query and per expansion
 func (w *worker) fold(qi int, m *Metrics) {
 	w.lanes[qi].metrics.add(m)
-	if w.s.table == nil {
+	if !w.s.table.shared {
 		return
 	}
 	tr := w.s.items[qi].Tracker
@@ -365,34 +378,15 @@ func (w *worker) fold(qi int, m *Metrics) {
 	}
 }
 
-// fetch reads a node through the zero-copy view path: same simulated I/O
-// and cancellation semantics as an eager read, but no *Node
-// materialization — fixed entry fields come straight from the page bytes
-// and the textual payload from the snapshot's bound cache. Under a batch
-// table the node is fetched at most once per batch (charging the
-// physical I/O to the batch tracker); otherwise the one query's read
-// goes to the store and opt.Tracker. fetch charges no logical read: the
-// caller folds one NodesRead into every query the read serves. Pair
-// every successful read with doneView to recycle the offset buffer.
-func (w *worker) fetch(id storage.NodeID) (iurtree.NodeView, error) {
+// read returns node id's entries from the traversal's node table,
+// checking for cancellation first. It charges no logical read: the
+// caller folds one NodesRead into every query the read serves. The
+// entries are shared and read-only, and live until the traversal ends.
+func (w *worker) read(id storage.NodeID) ([]iurtree.Entry, error) {
 	if err := checkCtx(w.s.opt.Ctx); err != nil {
-		return iurtree.NodeView{}, err
+		return nil, err
 	}
-	if w.s.table != nil {
-		return w.s.table.load(id)
-	}
-	return w.s.tree.ReadViewTracked(id, w.s.opt.Tracker, w.scratch.getViewBuf())
-}
-
-// doneView recycles a view's offset buffer once no accessor will be
-// called on it again. Batch-table views keep their buffers — the table
-// owns them for the lifetime of the batch, and other workers may still
-// read through the same view.
-func (w *worker) doneView(v *iurtree.NodeView) {
-	if w.s.table != nil {
-		return
-	}
-	w.scratch.putViewBuf(v.RecycleBuf())
+	return w.s.table.read(id, &w.scratch.offs)
 }
 
 // oneRead is the logical cost of one node read.
@@ -409,12 +403,11 @@ func (w *worker) seed() ([]candidate, error) {
 	if root.Count == 1 {
 		// A single object: it has no neighbors, so the k-th NN similarity
 		// is -Inf and the object is always a result, for every query.
-		v, err := w.fetch(root.Child)
+		ents, err := w.read(root.Child)
 		if err != nil {
 			return nil, err
 		}
-		id := v.EntryObjID(0)
-		w.doneView(&v)
+		id := ents[0].ObjID
 		for qi := range s.items {
 			w.fold(qi, &oneRead)
 			ln := &w.lanes[qi]
@@ -519,10 +512,14 @@ func runBatchRounds(ws []*worker, first []candidate) error {
 // process drives one frontier slot: every group is decided for all of
 // its queries (or kept pending for some), then — if any group still has
 // undecided queries — the entry's node is expanded once for all of them.
+// An object slot always decides (decideObject).
 // The slot is consumed: its group list and each group's query list are
 // filtered in place down to the pending ones, which only the processing
 // worker ever touches.
 func (w *worker) process(c *candidate) ([]candidate, error) {
+	if c.entry.IsObject() {
+		return nil, w.decideObject(c)
+	}
 	pending := c.groups[:0]
 	for _, g := range c.groups {
 		expand, err := w.decideGroup(c.entry, g)
@@ -537,6 +534,30 @@ func (w *worker) process(c *candidate) ([]candidate, error) {
 		return nil, nil
 	}
 	return w.expand(c.entry, pending)
+}
+
+// decideObject decides every group of an object slot, then rewinds the
+// parts and contribs arenas to where they stood before. An object group
+// never expands, so nothing carved while deciding it — refined
+// contribution lists and the bounds rebounds and refinements computed —
+// is referenced afterwards: only result IDs (appended to the lanes),
+// traced bound values and Metrics leave the decision. Internal slots
+// are never rewound, because their child groups inherit pointers into
+// their lists' parts. The rewind keeps a traversal's scratch at its
+// live frontier plus one decision, instead of growing with every
+// refinement it ever made.
+func (w *worker) decideObject(c *candidate) error {
+	sc := w.scratch
+	pm, cm := sc.parts.mark(), sc.contribs.mark()
+	var err error
+	for _, g := range c.groups {
+		if _, err = w.decideGroup(c.entry, g); err != nil {
+			break
+		}
+	}
+	sc.parts.rewind(pm)
+	sc.contribs.rewind(cm)
+	return err
 }
 
 // expand reads parent's node once and turns its entries into the next
@@ -554,21 +575,19 @@ func (w *worker) process(c *candidate) ([]candidate, error) {
 // for the group because its objects are a subset of what the bounds
 // cover — and are tightened lazily when the group is processed, keeping
 // expansion cost linear in the fan-out. Every sibling contributor and
-// every slot entry points into the ents carve, and inherited
-// contributors keep pointing wherever the parent group's did, so no
-// Entry is copied per group.
+// every slot entry points into the node table's entries for the parent,
+// and inherited contributors keep pointing wherever the parent group's
+// did, so no Entry is copied per group.
 //
 // The slots (and the arena-backed groups and bounds they reference) are
 // only published to other workers through the round barrier, so the
 // scratch-owning worker is the sole writer until then.
 func (w *worker) expand(parent *iurtree.Entry, pending []*group) ([]candidate, error) {
-	v, err := w.fetch(parent.Child)
+	children, err := w.read(parent.Child)
 	if err != nil {
 		return nil, err
 	}
 	sc := w.scratch
-	children := v.AppendEntries(sc.ents.alloc(v.Len()))
-	w.doneView(&v)
 
 	// Sibling bounds are relative to the parent, so one set serves every
 	// group and query; each pending query still pays for them once, as
@@ -809,19 +828,17 @@ func (w *worker) reboundStale(gSide side, cl *contributionList, spent *Metrics) 
 }
 
 // refine replaces contributor idx with its children, re-bounded against
-// the group, charging the read and the bounds to spent. The children are
-// materialized into the ents arena, where the new contributors point;
-// the replacement buffer is scratch-owned: replace() copies it into the
-// contribution list, so it is reusable immediately.
+// the group, charging the read and the bounds to spent. The new
+// contributors point into the node table's entries for the refined
+// node; the replacement buffer is scratch-owned: replace() copies it
+// into the contribution list, so it is reusable immediately.
 func (w *worker) refine(gSide side, cl *contributionList, idx int, spent *Metrics) error {
-	v, err := w.fetch(cl.contributors[idx].entry.Child)
+	children, err := w.read(cl.contributors[idx].entry.Child)
 	if err != nil {
 		return err
 	}
 	spent.NodesRead++
 	spent.Refinements++
-	children := v.AppendEntries(w.scratch.ents.alloc(v.Len()))
-	w.doneView(&v)
 	mk := w.mark()
 	repl := w.scratch.repl[:0]
 	for i := range children {
@@ -838,33 +855,30 @@ func (w *worker) refine(gSide side, cl *contributionList, idx int, spent *Metric
 
 // collect appends the IDs of the objects below node id that belong to
 // the given cluster (every object when cluster < 0) to ids, and returns
-// the number of nodes it read to find them. Object IDs are read straight
-// off the page bytes, and only entries passing the cluster filter
-// recurse. The parent's view stays live across the recursion, which is
-// why the scratch keeps a stack of offset buffers.
+// the number of nodes it read to find them. Only entries passing the
+// cluster filter recurse.
 func (w *worker) collect(id storage.NodeID, cluster int32, ids []int32) ([]int32, int, error) {
-	v, err := w.fetch(id)
+	ents, err := w.read(id)
 	if err != nil {
 		return ids, 0, err
 	}
 	reads := 1
-	for i, n := 0, v.Len(); i < n; i++ {
-		if cluster >= 0 && clusterCountIn(v.EntryClusters(i), cluster) == 0 {
+	for i := range ents {
+		e := &ents[i]
+		if cluster >= 0 && clusterCountIn(e.Clusters, cluster) == 0 {
 			continue
 		}
-		if v.EntryIsObject(i) {
-			ids = append(ids, v.EntryObjID(i))
+		if e.IsObject() {
+			ids = append(ids, e.ObjID)
 			continue
 		}
 		var sub int
-		ids, sub, err = w.collect(v.EntryChild(i), cluster, ids)
+		ids, sub, err = w.collect(e.Child, cluster, ids)
 		reads += sub
 		if err != nil {
-			w.doneView(&v)
 			return ids, reads, err
 		}
 	}
-	w.doneView(&v)
 	return ids, reads, nil
 }
 

@@ -340,6 +340,16 @@ func (t *Snapshot) ReadViewTracked(id storage.NodeID, tr *storage.Tracker, offs 
 	return NodeView{id: id, blob: blob, offs: offs, text: text, leaf: leaf}, nil
 }
 
+// TouchTracked charges one read of node id — the store fetch, with its
+// buffer-pool, freed-slot and tracker effects — without parsing or
+// decoding the page. It is for readers that already hold the node's
+// contents from an earlier read of the same snapshot but must pay every
+// logical read, as a standalone query does.
+func (t *Snapshot) TouchTracked(id storage.NodeID, tr *storage.Tracker) error {
+	_, err := t.store.GetTracked(id, tr)
+	return err
+}
+
 // SetBoundCache resizes (capacity > 0) or disables (capacity <= 0) the
 // textual bound cache: a per-NodeID memoization of decoded envelopes and
 // cluster summaries that the zero-copy read path (ReadViewTracked)

@@ -51,6 +51,11 @@ type QueryStats struct {
 	// Rebounds counts the free, CPU-only re-tightenings of inherited
 	// contributor bounds (no node read).
 	Rebounds int
+	// ScratchPeakBytes is the high-water mark of the traversal's scratch
+	// memory: the arena chunks its workers held at their peaks plus its
+	// node table, in bytes. For queries answered by a shared batch
+	// traversal it is the whole batch's figure, like Duration.
+	ScratchPeakBytes int64
 }
 
 // CacheHitRatio returns the fraction of this query's node reads that
@@ -140,6 +145,8 @@ func (e *Engine) queryVector(ctx context.Context, st *engineState, x, y float64,
 			Candidates:    out.Metrics.Candidates,
 			Refinements:   out.Metrics.Refinements,
 			Rebounds:      out.Metrics.Rebounds,
+
+			ScratchPeakBytes: out.ScratchPeakBytes,
 		},
 	}, nil
 }
@@ -280,6 +287,11 @@ type BatchStats struct {
 	// with the same k share groups.
 	ExactSims  int64
 	BoundEvals int64
+	// ScratchPeakBytes is the traversal's scratch high-water mark: the
+	// arena chunks its workers held at their peaks plus its node table,
+	// in bytes. An object's decision releases its scratch when it ends,
+	// so the figure follows the live frontier, not the total work.
+	ScratchPeakBytes int64
 }
 
 // BatchQuery answers many reverse queries against one pinned snapshot:
@@ -396,6 +408,8 @@ func (e *Engine) batchShared(ctx context.Context, st *engineState, reqs []QueryR
 				Candidates:    o.Metrics.Candidates,
 				Refinements:   o.Metrics.Refinements,
 				Rebounds:      o.Metrics.Rebounds,
+
+				ScratchPeakBytes: o.ScratchPeakBytes,
 			},
 		}}
 	}
@@ -404,6 +418,7 @@ func (e *Engine) batchShared(ctx context.Context, st *engineState, reqs []QueryR
 	bs.PageAccesses = batchTracker.PagesRead()
 	bs.ExactSims = mo.Batch.ExactSims
 	bs.BoundEvals = mo.Batch.BoundEvals
+	bs.ScratchPeakBytes = mo.Batch.ScratchPeakBytes
 	return bs
 }
 
