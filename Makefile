@@ -6,7 +6,7 @@ LINT_TOOL     := $(or $(TMPDIR),/tmp)/rstknn-lint
 LINT_REPORT   ?= lint-report.json
 FUZZTIME      ?= 10s
 
-.PHONY: all build test race race-stress lint lint-json lint-selftest golangci fmt fuzz bench-baseline bench-views bench-mutate bench-batch check clean
+.PHONY: all build test race race-stress lint lint-json lint-selftest golangci fmt fuzz perfbench-smoke check clean
 
 all: build
 
@@ -87,35 +87,18 @@ fuzz:
 	go test ./internal/textual/ -run '^$$' -fuzz FuzzTextualPersist  -fuzztime $(FUZZTIME)
 	go test .                   -run '^$$' -fuzz FuzzLoad            -fuzztime $(FUZZTIME)
 
-# Regenerate the checked-in benchmark-regression baseline. The seed and
-# workload are pinned so diffs reflect code changes, not input drift;
-# wall-clock columns are machine-dependent (see the machine block in the
-# JSON), allocs/op and nodes-read are comparable across machines.
-bench-baseline:
-	go run ./cmd/rstknn-bench -json baseline -seed 7 -scale 0.25 -queries 16 -workers 1,2,4,8 -benchiters 3
+# perfbench/ is a Go module of its own, so the root `go vet ./...` and
+# `go build ./...` never compile it. Every run checks each answer
+# against an exhaustive oracle and exits 1 on any difference, so this
+# gates correctness of all four benchmark workloads in well under a
+# minute.
+perfbench-smoke:
+	cd perfbench && go vet ./...
+	for w in point batch churn ciur; do \
+		bash perfbench/run.sh --workload $$w --seconds 1 --trace 0 || exit 1; \
+	done
 
-# Regenerate BENCH_views.json, the zero-copy view + bound cache evidence
-# record: the same pinned workload as bench-baseline, so
-# `rstknn-bench -compare BENCH_baseline.json BENCH_views.json` shows the
-# allocation and wall-clock deltas row by row.
-bench-views:
-	go run ./cmd/rstknn-bench -json views -seed 7 -scale 0.25 -queries 16 -workers 1,2,4,8 -benchiters 3
-
-# Regenerate the copy-on-write mutation baseline (insert/delete write
-# amplification and reclamation footprint). Same pinning rules as
-# bench-baseline: counters are cross-machine comparable, ns/op is not.
-bench-mutate:
-	go run ./cmd/rstknn-bench -mutate baseline -seed 7 -scale 0.25 -churn 2000
-
-# Regenerate BENCH_batch.json, the shared-traversal batch execution
-# evidence record (DESIGN.md §11): the pinned workload answered
-# independently and via MultiRSTkNN at several batch sizes. nodes/query,
-# shared-hits/query, and the reduction factor are deterministic and
-# cross-machine comparable; ns/query is not.
-bench-batch:
-	go run ./cmd/rstknn-bench -batch batch -seed 7 -scale 0.25 -queries 64 -batchsizes 1,4,16,64 -benchiters 3
-
-check: lint build test race race-stress fuzz
+check: lint build test race race-stress fuzz perfbench-smoke
 
 clean:
 	rm -f $(LINT_TOOL)

@@ -52,8 +52,8 @@ func runWorkload(bm *builtMethod, queries []dataset.QueryObject, k int, alpha fl
 				}
 				q := queries[i]
 				var tracker storage.Tracker
-				// Workers: 1 — F13 isolates *inter*-query scaling; the
-				// intra-query engine is benchmarked by RunBaseline.
+				// Workers: 1 — F13 isolates *inter*-query scaling; perfbench
+				// measures the intra-query engine at its default Workers.
 				out, err := core.RSTkNN(bm.tree, core.Query{Loc: q.Loc, Doc: q.Doc}, core.Options{
 					K: k, Alpha: alpha, Strategy: bm.strategy, Workers: 1, Tracker: &tracker,
 				})
@@ -61,12 +61,8 @@ func runWorkload(bm *builtMethod, queries []dataset.QueryObject, k int, alpha fl
 					errs[i] = err
 					continue
 				}
-				var sum int64
-				for _, id := range out.Results {
-					sum = sum*1000003 + int64(id)
-				}
 				outcomes[i] = queryOutcome{
-					checksum: sum,
+					checksum: resultChecksum(out.Results),
 					pages:    tracker.PagesRead(),
 					hits:     tracker.CacheHits(),
 				}
@@ -140,4 +136,13 @@ func RunF13Parallel(cfg Config) error {
 		f2(speedup), f1(float64(parPages)/float64(len(queries))))
 	t.render(cfg.Out)
 	return nil
+}
+
+// resultChecksum folds a result-ID list into one comparable word.
+func resultChecksum(ids []int32) int64 {
+	var sum int64
+	for _, id := range ids {
+		sum = sum*1000003 + int64(id)
+	}
+	return sum
 }

@@ -7,17 +7,12 @@ import (
 	"rstknn/internal/storage"
 )
 
-// BenchmarkPinnedWorkload runs the BENCH_baseline.json workload as a Go
-// benchmark so the standard -benchmem/-memprofile tooling can attribute
-// the query path's allocations (the JSON baseline only records totals).
+// BenchmarkPinnedWorkload answers the pinned workload's queries one at a
+// time as a Go benchmark, so the standard -benchmem/-memprofile tooling
+// can attribute the query path's time and allocations. TestPinnedGolden
+// pins the same workload's counters.
 func BenchmarkPinnedWorkload(b *testing.B) {
-	cfg := Config{Scale: 0.25, Queries: 16, Seed: 7}.withDefaults()
-	col, queries := fixture(cfg, defaultN/2)
-	methods, err := buildMethods(col.Objects, []method{treeMethods[0]}, cfg.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bm := &methods[0]
+	_, queries, bm := pinnedWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {
